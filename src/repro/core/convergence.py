@@ -46,6 +46,13 @@ import numpy as np
 __all__ = ["ConvergenceTracker", "ConvergenceReport", "SweepRecord"]
 
 
+def _stagnant(x_new, x, x_two_ago) -> bool:
+    """Exact period-1 fixpoint or period-2 limit cycle of a deterministic
+    sweep: every later iterate is determined, so further sweeps are waste."""
+    return bool(np.array_equal(x_new, x)
+                or (x_two_ago is not None and np.array_equal(x_new, x_two_ago)))
+
+
 @dataclass(frozen=True)
 class SweepRecord:
     """What one sweep did to the workset."""

@@ -20,6 +20,7 @@ import numpy as np
 
 from repro.core.cancel import CancelToken
 from repro.server.jobs import JobSpec
+from repro.spmv.csr import CSRBlock
 from repro.spmv.generator import symmetric_test_matrix
 from repro.spmv.partition import GridPartition
 
@@ -28,8 +29,16 @@ __all__ = ["execute_attempt", "digest_vector"]
 
 def digest_vector(x: np.ndarray) -> str:
     """A short bit-exact fingerprint of a float64 vector (the server's
-    bit-identity witness for preemption/resume)."""
+    bit-identity witness for preemption/resume).
+
+    Raises ``ValueError`` on a non-finite or all-zero vector: equal
+    digests of NaN or zero vectors would witness nothing.
+    """
     arr = np.ascontiguousarray(np.asarray(x, dtype=np.float64))
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("cannot digest a vector with non-finite entries")
+    if not np.any(arr):
+        raise ValueError("cannot digest an all-zero vector")
     return hashlib.sha256(arr.tobytes()).hexdigest()[:32]
 
 
@@ -38,11 +47,16 @@ def _build_problem(spec: JobSpec):
 
     ``diag_shift`` scales with the row weight so Jacobi stays strictly
     diagonally dominant and CG's operator positive definite for any
-    ``nnz_per_row`` a client picks.
+    ``nnz_per_row`` a client picks.  The ``spmv`` job iterates y = A x,
+    so its matrix is divided by ``||A||_inf``: that bounds the spectral
+    radius by 1 and keeps the iterate finite for any iteration count.
     """
     rng = np.random.default_rng(spec.seed)
     m = symmetric_test_matrix(spec.n, spec.nnz_per_row, rng,
                               diag_shift=4.0 * spec.nnz_per_row)
+    if spec.kind == "spmv":
+        a = m.to_scipy()
+        m = CSRBlock.from_scipy(a / abs(a).sum(axis=1).max())
     partition = GridPartition(spec.n, spec.parts)
     blocks = partition.split_matrix(m)
     vec = np.random.default_rng(spec.seed + 1).standard_normal(spec.n)

@@ -56,7 +56,8 @@ from typing import Protocol
 
 import numpy as np
 
-from repro.core.convergence import ConvergenceReport, ConvergenceTracker
+from repro.core.convergence import (ConvergenceReport, ConvergenceTracker,
+                                    _stagnant)
 
 MODES = ("sync", "incremental", "async")
 
@@ -153,44 +154,54 @@ def jacobi_solve(
     start = ck_start or 0
     if ck_x is not None:
         x = ck_x
-    if mode == "incremental":
-        return _solve_incremental(operator, b, x, diag, b_norm, tol,
-                                  max_iterations, callback, ckpt, history,
-                                  start, fixpoint_exit)
     if mode == "async":
         return _solve_async(operator, b, x, diag, b_norm, tol,
                             max_iterations, callback, ckpt, history, start,
                             staleness, seed, fixpoint_exit)
+    # Sync and incremental sweeps are one loop: the incremental drive
+    # passes a workset, which drops frozen columns from each matvec and
+    # keeps the iterate sequence bitwise equal to sync's.
+    workset = None
+    if mode == "incremental":
+        from repro.spmv.ooc_operator import SweepWorkset
+
+        _require_workset_operator(operator, mode)
+        workset = SweepWorkset(operator)
     res_norm = history[-1] if history else np.inf
     it = start
     x_two_ago = None
+
+    def result(converged, fixpoint=False):
+        return JacobiResult(x=x, iterations=it, residual_norm=res_norm,
+                            converged=converged, residual_history=history,
+                            mode=mode, fixpoint=fixpoint,
+                            convergence=(None if workset is None
+                                         else workset.tracker.report))
+
     for it in range(start + 1, max_iterations + 1):
-        residual = b - operator.matvec(x)
+        if workset is None:
+            residual = b - operator.matvec(x)
+        else:
+            residual = b - operator.matvec(x, workset=workset)
         res_norm = float(np.linalg.norm(residual))
         history.append(res_norm)
         if callback is not None:
             callback(it, res_norm)
         if res_norm <= tol * b_norm:
-            return JacobiResult(x=x, iterations=it, residual_norm=res_norm,
-                                converged=True, residual_history=history)
+            return result(converged=True)
         x_new = x + residual / diag
+        if workset is not None:
+            workset.observe(x, x_new)
         if fixpoint_exit and _stagnant(x_new, x, x_two_ago):
             # A deterministic sweep that reproduced x (or entered an exact
             # 2-cycle) will repeat forever: the residual cannot improve.
-            return JacobiResult(x=x, iterations=it, residual_norm=res_norm,
-                                converged=False, residual_history=history,
-                                fixpoint=True)
+            return result(converged=False, fixpoint=True)
+        if workset is not None:
+            workset.settle(x_new)
         x_two_ago = x
         x = x_new
         ckpt.save(it, x, history)
-    return JacobiResult(x=x, iterations=it, residual_norm=res_norm,
-                        converged=False, residual_history=history)
-
-
-def _stagnant(x_new, x, x_two_ago) -> bool:
-    """Exact period-1 fixpoint or period-2 limit cycle of the sweep."""
-    return bool(np.array_equal(x_new, x)
-                or (x_two_ago is not None and np.array_equal(x_new, x_two_ago)))
+    return result(converged=False)
 
 
 def _require_workset_operator(operator, mode: str):
@@ -201,57 +212,6 @@ def _require_workset_operator(operator, mode: str):
             "(repro.spmv.ooc_operator.OutOfCoreMatrix); got "
             f"{type(operator).__name__}")
     return partition
-
-
-def _solve_incremental(operator, b, x, diag, b_norm, tol, max_iterations,
-                       callback, ckpt, history, start, fixpoint_exit):
-    """Delta/workset sweeps: bit-identical to sync, minus the dead work."""
-    from repro.spmv.ooc_operator import SweepWorkset
-
-    partition = _require_workset_operator(operator, "incremental")
-    tracer = getattr(getattr(operator, "engine", None), "tracer", None)
-    workset = SweepWorkset(operator)
-    tracker = ConvergenceTracker(partition.k, tol=0.0, tracer=tracer)
-    pending_aux = 0
-    res_norm = history[-1] if history else np.inf
-    it = start
-    x_two_ago = None
-
-    def result(converged, fixpoint=False):
-        return JacobiResult(x=x, iterations=it, residual_norm=res_norm,
-                            converged=converged, residual_history=history,
-                            mode="incremental", fixpoint=fixpoint,
-                            convergence=tracker.report)
-
-    for it in range(start + 1, max_iterations + 1):
-        residual = b - operator.matvec(x, workset=workset)
-        sweep_tasks = operator.last_sweep["tasks"]
-        res_norm = float(np.linalg.norm(residual))
-        history.append(res_norm)
-        if callback is not None:
-            callback(it, res_norm)
-        if res_norm <= tol * b_norm:
-            return result(converged=True)
-        x_new = x + residual / diag
-        record = tracker.observe(
-            partition.split_vector(x), partition.split_vector(x_new),
-            tasks_scheduled=sweep_tasks, aux_tasks=pending_aux)
-        pending_aux = 0
-        for v in record.reentered:
-            workset.thaw(v)
-        if fixpoint_exit and _stagnant(x_new, x, x_two_ago):
-            # Same exit condition as mode="sync", so the two iterate
-            # sequences (and iteration counts) stay bitwise identical.
-            return result(converged=False, fixpoint=True)
-        x_two_ago = x
-        x = x_new
-        new_parts = partition.split_vector(x_new)
-        for v in record.newly_frozen:
-            # Cache every frozen phase (period-2 cycles have two).
-            for phase in tracker.phases(v) or (new_parts[v],):
-                pending_aux += workset.freeze(v, phase)
-        ckpt.save(it, x, history)
-    return result(converged=False)
 
 
 def _solve_async(operator, b, x, diag, b_norm, tol, max_iterations,

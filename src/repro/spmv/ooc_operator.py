@@ -16,13 +16,14 @@ from typing import Dict
 
 import numpy as np
 
+from repro.core.convergence import ConvergenceTracker, SweepRecord
 from repro.core.engine import DOoCEngine, Program
 from repro.core.iofilter import write_array
 from repro.core.array import ArrayDesc
 from repro.spmv.csr import CSRBlock
 from repro.spmv.csrfile import serialize_csr
-from repro.spmv.partition import GridPartition, column_owner
-from repro.spmv.program import _mult_fn, _sum_fn, a_name
+from repro.spmv.partition import column_owner
+from repro.spmv.program import SweepBuilder, a_name, grid_partition
 
 
 class OutOfCoreMatrix:
@@ -43,21 +44,10 @@ class OutOfCoreMatrix:
         gc_arrays: bool = True,
         engine_kwargs: dict | None = None,
     ):
-        ks = sorted({u for u, _ in blocks})
-        k = len(ks)
-        if sorted(blocks) != [(u, v) for u in range(k) for v in range(k)]:
-            raise ValueError("blocks must cover a complete K x K grid")
-        n = sum(blocks[(u, 0)].nrows for u in range(k))
-        self.partition = GridPartition(n, k)
-        for (u, v), b in blocks.items():
-            want = (self.partition.part_length(u), self.partition.part_length(v))
-            if b.shape != want:
-                raise ValueError(f"block {(u, v)} has shape {b.shape}, want {want}")
-        if policy not in ("simple", "interleaved"):
-            raise ValueError(f"unknown policy {policy!r}")
+        self.partition = grid_partition(blocks, policy)
         self.policy = policy
-        self.k = k
-        self.n = n
+        self.k = k = self.partition.k
+        self.n = self.partition.n
         self.owner = owner or column_owner(k, n_nodes)
         # Extra engine knobs (fault plans, watchdog, worker plane) for
         # callers like the job server; they override the named defaults.
@@ -120,115 +110,86 @@ class OutOfCoreMatrix:
                              "exclusive")
         if x.shape != (self.n,):
             raise ValueError(f"x has shape {x.shape}, want ({self.n},)")
-        t = self.matvec_count
-        self.matvec_count += 1
+        t, sweep = self._sweep("matvec")
         p = self.partition
         parts = p.split_vector(np.asarray(x, dtype=np.float64))
+        frozen: frozenset[int] = frozenset()
+        meta: dict = {}
         if workset is not None:
             if workset.operator is not self:
                 raise ValueError("workset belongs to a different operator")
             active, _ = workset.refresh(parts)
+            frozen = workset.frozen
             mode = "workset"
+            meta = {"workset_sweep": t,
+                    "workset_active": tuple(active),
+                    "workset_frozen": tuple(sorted(frozen))}
         elif frontier:
             active = [v for v in range(self.k) if np.any(parts[v])]
             mode = "frontier"
+            meta = {"frontier": tuple(active)}
         else:
             active = list(range(self.k))
             mode = "full"
-        active_set = frozenset(active)
-        frozen_set = workset.frozen if workset is not None else frozenset()
-        meta_extra: dict = {}
-        if mode == "workset":
-            meta_extra = {"workset_sweep": t,
-                          "workset_active": tuple(active),
-                          "workset_frozen": tuple(sorted(frozen_set))}
-        elif mode == "frontier":
-            meta_extra = {"frontier": tuple(active)}
-        prog = Program(f"ooc-matvec-{t}")
-        for (u, v), raw_len in self._a_raw_len.items():
-            if v in active_set:
-                prog.initial_from_scratch(
-                    a_name(u, v), raw_len, home=self.owner(u, v),
-                    dtype="uint8", block_elems=raw_len)
+        for u, v in self._a_raw_len:
+            if v in active:
+                self._matrix(sweep.prog, u, v)
         for v in active:
-            prog.initial_array(f"it{t}_x_{v}", parts[v], home=self.owner(0, v),
-                               block_elems=len(parts[v]))
+            sweep.seed(sweep.name("x", v), parts[v], self.owner(0, v))
         produced: list[int] = []
         for u in range(self.k):
-            ylen = p.part_length(u)
-            ins: list[int] = []
+            cols: list[int] = []
             for v in range(self.k):
-                yn = f"it{t}_y_{u}_{v}"
-                if v in active_set:
-                    prog.array(yn, ylen, block_elems=ylen)
-                    prog.add_task(
-                        f"it{t}_mult_{u}_{v}", _mult_fn,
-                        [a_name(u, v), f"it{t}_x_{v}"], [yn],
-                        flops=2.0 * self._nnz[(u, v)],
-                        a=a_name(u, v), x=f"it{t}_x_{v}", **meta_extra,
-                    )
-                    ins.append(v)
-                elif v in frozen_set:
+                if v in active:
+                    sweep.multiply(u, v, sweep.name("x", v), **meta)
+                elif v in frozen:
                     # Frozen column: its product is a constant; seed it in
                     # the exact input position a fresh multiply would fill.
-                    prog.initial_array(yn, workset.product(u, v),
-                                       home=self.owner(u, v),
-                                       block_elems=ylen)
-                    ins.append(v)
-                # frontier-inactive columns contribute exactly zero: no
-                # input array at all
-            if not ins:
-                continue  # y_u is exactly zero; nothing to schedule
-            produced.append(u)
-            prog.array(f"it{t}_out_{u}", ylen, block_elems=ylen)
-            self._reduce_tasks(prog, t, u, ins, ylen, meta_extra)
-        report = self.engine.run(prog, cancel=self.cancel)
-        produced_set = set(produced)
-        out = {u: (self.engine.fetch(f"it{t}_out_{u}")
-                   if u in produced_set else np.zeros(p.part_length(u)))
-               for u in range(self.k)}
-        self._cleanup(t)
-        self._log_sweep(t, mode, active, len(prog.tasks), report)
+                    sweep.seed(sweep.name("y", u, v), workset.product(u, v),
+                               self.owner(u, v))
+                else:
+                    continue  # frontier-inactive: contributes exactly zero
+                cols.append(v)
+            if cols:  # else y_u is exactly zero; nothing to schedule
+                produced.append(u)
+                sweep.reduce(u, cols, sweep.name("out", u), **meta)
+        out = dict(zip(produced, self._execute(
+            t, sweep, mode, active, [sweep.name("out", u) for u in produced]),
+            strict=True))
         if frontier:
             self.engine.tracer.counter(-1, "driver", "converge",
                                        "frontier_size", len(active), sweep=t)
-        return p.join_vector(out)
+        return p.join_vector({u: out[u] if u in out
+                              else np.zeros(p.part_length(u))
+                              for u in range(self.k)})
 
-    def _reduce_tasks(self, prog: Program, t: int, u: int, ins: list[int],
-                      ylen: int, meta_extra: dict) -> None:
-        """Row ``u``'s reduction over the included columns ``ins`` — the
-        same policy tree (and float summation order) as the bulk sweep
-        restricted to ``ins``."""
-        if self.policy == "simple":
-            prog.add_task(
-                f"it{t}_sum_{u}", _sum_fn,
-                [f"it{t}_y_{u}_{v}" for v in ins], [f"it{t}_out_{u}"],
-                flops=float(ylen * (len(ins) - 1)), **meta_extra,
-            )
-            return
-        groups: dict[int, list[int]] = {}
-        for v in ins:
-            groups.setdefault(self.owner(u, v), []).append(v)
-        partials = []
-        for node, vs in sorted(groups.items()):
-            if len(vs) == 1:
-                partials.append(f"it{t}_y_{u}_{vs[0]}")
-                continue
-            pname = f"it{t}_part_{u}_{node}"
-            prog.array(pname, ylen, block_elems=ylen)
-            prog.add_task(
-                f"it{t}_psum_{u}_{node}", _sum_fn,
-                [f"it{t}_y_{u}_{v}" for v in vs], [pname],
-                flops=float(ylen * (len(vs) - 1)), **meta_extra,
-            )
-            partials.append(pname)
-        prog.add_task(
-            f"it{t}_sum_{u}", _sum_fn, partials, [f"it{t}_out_{u}"],
-            flops=float(ylen * max(len(partials) - 1, 1)), **meta_extra,
-        )
+    def _sweep(self, kind: str) -> tuple[int, SweepBuilder]:
+        """The next sweep tag ``t`` and a builder for program
+        ``ooc-<kind>-<t>``, whose names all start ``it<t>_``."""
+        t = self.matvec_count
+        self.matvec_count += 1
+        return t, SweepBuilder(Program(f"ooc-{kind}-{t}"), self.partition,
+                               self.policy, self.owner, self._nnz,
+                               stem=f"it{t}_{{}}")
+
+    def _matrix(self, prog: Program, u: int, v: int) -> None:
+        """Declare sub-matrix ``A_{u,v}``'s seeded file as an input."""
+        raw_len = self._a_raw_len[(u, v)]
+        prog.initial_from_scratch(a_name(u, v), raw_len, home=self.owner(u, v),
+                                  dtype="uint8", block_elems=raw_len)
+
+    def _execute(self, t: int, sweep: SweepBuilder, mode: str, active,
+                 outputs: list[str]) -> list[np.ndarray]:
+        """Run a sweep's program, fetch ``outputs``, unlink its scratch
+        files and log it."""
+        report = self.engine.run(sweep.prog, cancel=self.cancel)
+        fetched = [self.engine.fetch(name) for name in outputs]
+        self._cleanup(t)
+        self._log_sweep(t, mode, active, len(sweep.prog.tasks), report)
+        return fetched
 
     def _log_sweep(self, tag: int, mode: str, active, tasks: int,
-                   report) -> dict:
+                   report) -> None:
         entry = {
             "sweep": tag,
             "mode": mode,
@@ -243,7 +204,6 @@ class OutOfCoreMatrix:
         self.last_sweep = entry
         self.engine.tracer.counter(-1, "driver", "converge", "sweep_tasks",
                                    tasks, sweep=tag, mode=mode)
-        return entry
 
     def column_products(self, v: int, x_v: np.ndarray) -> dict[int, np.ndarray]:
         """All of one column's products, ``y_{u,v} = A_{u,v} @ x_v``.
@@ -258,33 +218,15 @@ class OutOfCoreMatrix:
         want = (self.partition.part_length(v),)
         if x_v.shape != want:
             raise ValueError(f"x_v has shape {x_v.shape}, want {want}")
-        t = self.matvec_count
-        self.matvec_count += 1
-        prog = Program(f"ooc-colprod-{t}")
-        xn = f"it{t}_x_{v}"
-        prog.initial_array(xn, x_v, home=self.owner(0, v),
-                           block_elems=len(x_v))
+        t, sweep = self._sweep("colprod")
+        xn = sweep.name("x", v)
+        sweep.seed(xn, x_v, self.owner(0, v))
         for u in range(self.k):
-            raw_len = self._a_raw_len[(u, v)]
-            prog.initial_from_scratch(
-                a_name(u, v), raw_len, home=self.owner(u, v),
-                dtype="uint8", block_elems=raw_len)
-            ylen = self.partition.part_length(u)
-            yn = f"it{t}_y_{u}_{v}"
-            prog.array(yn, ylen, block_elems=ylen)
-            prog.add_task(
-                f"it{t}_mult_{u}_{v}", _mult_fn,
-                [a_name(u, v), xn], [yn],
-                flops=2.0 * self._nnz[(u, v)],
-                a=a_name(u, v), x=xn, frozen_column=v,
-            )
-        report = self.engine.run(prog, cancel=self.cancel)
-        out = {u: np.array(self.engine.fetch(f"it{t}_y_{u}_{v}"),
-                           dtype=np.float64, copy=True)
-               for u in range(self.k)}
-        self._cleanup(t)
-        self._log_sweep(t, "colprod", (v,), len(prog.tasks), report)
-        return out
+            self._matrix(sweep.prog, u, v)
+            sweep.multiply(u, v, xn, frozen_column=v)
+        return dict(enumerate(self._execute(
+            t, sweep, "colprod", (v,),
+            [sweep.name("y", u, v) for u in range(self.k)])))
 
     def stale_sweep(self, versions: list[dict[int, np.ndarray]],
                     choice: dict[tuple[int, int], int]) -> dict[int, np.ndarray]:
@@ -299,41 +241,27 @@ class OutOfCoreMatrix:
         if not versions:
             raise ValueError("need at least one iterate version")
         k = self.k
-        p = self.partition
         for (u, v), age in choice.items():
             if not (0 <= age < len(versions)):
                 raise ValueError(f"choice[{(u, v)}] = {age} out of range")
-        t = self.matvec_count
-        self.matvec_count += 1
-        prog = Program(f"ooc-async-{t}")
-        for (u, v), raw_len in self._a_raw_len.items():
-            prog.initial_from_scratch(
-                a_name(u, v), raw_len, home=self.owner(u, v),
-                dtype="uint8", block_elems=raw_len)
+        t, sweep = self._sweep("async")
+        for u, v in self._a_raw_len:
+            self._matrix(sweep.prog, u, v)
         used = sorted({(v, choice.get((u, v), 0))
                        for u in range(k) for v in range(k)})
         for v, age in used:
-            part = np.asarray(versions[age][v], dtype=np.float64)
-            prog.initial_array(f"it{t}_x_{v}_s{age}", part,
-                               home=self.owner(0, v), block_elems=len(part))
+            sweep.seed(sweep.name("x", v, f"s{age}"),
+                       np.asarray(versions[age][v], dtype=np.float64),
+                       self.owner(0, v))
         for u in range(k):
-            ylen = p.part_length(u)
             for v in range(k):
                 age = choice.get((u, v), 0)
-                yn = f"it{t}_y_{u}_{v}"
-                prog.array(yn, ylen, block_elems=ylen)
-                prog.add_task(
-                    f"it{t}_mult_{u}_{v}", _mult_fn,
-                    [a_name(u, v), f"it{t}_x_{v}_s{age}"], [yn],
-                    flops=2.0 * self._nnz[(u, v)],
-                    a=a_name(u, v), x=f"it{t}_x_{v}_s{age}", staleness=age,
-                )
-            prog.array(f"it{t}_out_{u}", ylen, block_elems=ylen)
-            self._reduce_tasks(prog, t, u, list(range(k)), ylen, {})
-        report = self.engine.run(prog, cancel=self.cancel)
-        out = {u: self.engine.fetch(f"it{t}_out_{u}") for u in range(k)}
-        self._cleanup(t)
-        self._log_sweep(t, "async", tuple(range(k)), len(prog.tasks), report)
+                sweep.multiply(u, v, sweep.name("x", v, f"s{age}"),
+                               staleness=age)
+            sweep.reduce(u, range(k), sweep.name("out", u))
+        out = dict(enumerate(self._execute(
+            t, sweep, "async", tuple(range(k)),
+            [sweep.name("out", u) for u in range(k)])))
         max_age = max(choice.values()) if choice else 0
         self.engine.tracer.instant(-1, "driver", "converge", "async_round",
                                    sweep=t, max_age=max_age)
@@ -357,23 +285,14 @@ class OutOfCoreMatrix:
         from repro.core.iofilter import read_array
         from repro.spmv.csrfile import deserialize_csr
 
-        diag = np.zeros(self.n)
+        diags = []
         for u in range(self.k):
             raw_len = self._a_raw_len[(u, u)]
             desc = ArrayDesc(a_name(u, u), length=raw_len, dtype="uint8",
                              block_elems=raw_len)
-            raw = read_array(
-                self.engine.node_scratch(self.owner(u, u)), desc)
-            block = deserialize_csr(raw)
-            lo, hi = self.partition.part_range(u)
-            dense_diag = np.zeros(block.nrows)
-            for i in range(block.nrows):
-                row = slice(block.indptr[i], block.indptr[i + 1])
-                hits = np.nonzero(block.indices[row] == i)[0]
-                if hits.size:
-                    dense_diag[i] = block.values[row][hits[0]]
-            diag[lo:hi] = dense_diag
-        return diag
+            raw = read_array(self.engine.node_scratch(self.owner(u, u)), desc)
+            diags.append(deserialize_csr(raw).to_scipy().diagonal())
+        return np.concatenate(diags)
 
 
 class SweepWorkset:
@@ -394,6 +313,11 @@ class SweepWorkset:
     ``x_v`` matches *no* cached phase is thawed automatically, so a stale
     cache can never change the result — dropout removes work, never
     accuracy.
+
+    The workset also owns the bitwise :class:`ConvergenceTracker` it
+    mirrors, so an incremental drive is one loop: ``matvec(x,
+    workset=ws)``, then ``ws.observe(x, x_new)`` (tracker update, thaws),
+    then -- unless the drive stops here -- ``ws.settle(x_new)`` (freezes).
     """
 
     #: phase entries kept per frozen column (period-1 or period-2 cycles)
@@ -408,6 +332,11 @@ class SweepWorkset:
         self._selected: Dict[int, Dict[int, np.ndarray]] = {}
         #: freeze-time product tasks spent so far (dropout accounting)
         self.aux_tasks = 0
+        #: the freeze/thaw authority this cache mirrors
+        self.tracker = ConvergenceTracker(operator.k, tol=0.0,
+                                          tracer=operator.engine.tracer)
+        self._aux_observed = 0
+        self._last: SweepRecord | None = None
 
     @property
     def frozen(self) -> frozenset[int]:
@@ -426,6 +355,27 @@ class SweepWorkset:
         self._selected.setdefault(v, products)
         self.aux_tasks += self.operator.k
         return self.operator.k
+
+    def observe(self, x: np.ndarray, x_new: np.ndarray) -> None:
+        """Hand the sweep ``x -> x_new`` (the operator's last matvec) to
+        the tracker, with the product tasks spent since the previous
+        sweep, and thaw every column it saw move again."""
+        p = self.operator.partition
+        self._last = self.tracker.observe(
+            p.split_vector(x), p.split_vector(x_new),
+            tasks_scheduled=self.operator.last_sweep["tasks"],
+            aux_tasks=self.aux_tasks - self._aux_observed)
+        self._aux_observed = self.aux_tasks
+        for v in self._last.reentered:
+            self.thaw(v)
+
+    def settle(self, x_new: np.ndarray) -> None:
+        """Cache the products of every column the last ``observe`` froze,
+        at each of its phases (period-2 cycles have two)."""
+        parts = self.operator.partition.split_vector(x_new)
+        for v in self._last.newly_frozen:
+            for phase in self.tracker.phases(v) or (parts[v],):
+                self.freeze(v, phase)
 
     def thaw(self, v: int) -> None:
         self._entries.pop(v, None)

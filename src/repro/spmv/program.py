@@ -28,6 +28,7 @@ from typing import Dict
 
 import numpy as np
 
+from repro.core.convergence import _stagnant
 from repro.core.engine import DOoCEngine, Program
 from repro.core.opcache import cached_decode
 from repro.spmv.csr import CSRBlock
@@ -43,12 +44,21 @@ def x_name(i: int, u: int) -> str:
     return f"x_{i}_{u}"
 
 
-def y_name(i: int, u: int, v: int) -> str:
-    return f"y_{i}_{u}_{v}"
-
-
-def part_name(i: int, u: int, n: int) -> str:
-    return f"part_{i}_{u}_{n}"
+def grid_partition(blocks: dict[tuple[int, int], CSRBlock],
+                   policy: str) -> GridPartition:
+    """Validate a reduction policy and a complete K x K grid of
+    conforming sub-matrices; return the grid's partition."""
+    if policy not in ("simple", "interleaved"):
+        raise ValueError(f"unknown policy {policy!r}")
+    k = len({u for u, _ in blocks} | {v for _, v in blocks})
+    if sorted(blocks) != [(u, v) for u in range(k) for v in range(k)]:
+        raise ValueError("blocks must cover a complete K x K grid")
+    partition = GridPartition(sum(blocks[(u, 0)].nrows for u in range(k)), k)
+    for (u, v), b in blocks.items():
+        want = (partition.part_length(u), partition.part_length(v))
+        if b.shape != want:
+            raise ValueError(f"block {(u, v)} has shape {b.shape}, want {want}")
+    return partition
 
 
 def _decode_a(raw: np.ndarray):
@@ -83,6 +93,81 @@ def _sum_fn(ins: dict, outs: dict, meta: dict) -> None:
     out[:] = 0.0
     for arr in ins.values():
         out += arr
+
+
+@dataclass
+class SweepBuilder:
+    """Emits SpMV sweeps into a program: the per-block multiply tasks and
+    each row's reduction tree under the *simple* or *interleaved* policy.
+
+    Every SpMV program is built through it -- ``build_iterated_spmv`` and
+    the :class:`~repro.spmv.ooc_operator.OutOfCoreMatrix` full, workset,
+    frontier, column-product and stale sweeps -- so they all share one
+    reduction tree and one float summation order.  Names are
+    ``stem.format(kind)`` joined with the indices by ``_``.
+    """
+
+    prog: Program
+    partition: GridPartition
+    policy: str
+    owner: Callable[[int, int], int]
+    nnz: dict[tuple[int, int], int]
+    stem: str = "{}"
+    #: vector block size; ``None`` makes every vector one block
+    block_elems: int | None = None
+
+    def name(self, kind: str, *idx) -> str:
+        return "_".join([self.stem.format(kind), *map(str, idx)])
+
+    def seed(self, name: str, data: np.ndarray, home: int) -> None:
+        self.prog.initial_array(name, data, home=home,
+                                block_elems=self.block_elems or len(data))
+
+    def _vector(self, name: str, u: int) -> None:
+        ylen = self.partition.part_length(u)
+        self.prog.array(name, ylen, block_elems=self.block_elems or ylen)
+
+    def multiply(self, u: int, v: int, x: str, **meta) -> None:
+        """Declare ``y_{u,v}`` and the task computing ``A_{u,v} @ x``."""
+        a, y = a_name(u, v), self.name("y", u, v)
+        self._vector(y, u)
+        self.prog.add_task(self.name("mult", u, v), _mult_fn, [a, x], [y],
+                           flops=2.0 * self.nnz[(u, v)], a=a, x=x, **meta)
+
+    def reduce(self, u: int, cols, out: str, **meta) -> None:
+        """Declare ``out`` and the task tree summing ``y_{u,v}`` over
+        ``cols`` into it.
+
+        *simple*: one sum reads every intermediate.  *interleaved*: each
+        owning node first sums its own intermediates (a node holding one
+        feeds it straight into the final sum), then one sum combines the
+        per-node partials -- a trivial one-input sum when a single node
+        owns the row, which keeps naming uniform across policies.
+        """
+        ylen = self.partition.part_length(u)
+        self._vector(out, u)
+        ys = [self.name("y", u, v) for v in cols]
+        if self.policy == "simple":
+            self.prog.add_task(self.name("sum", u), _sum_fn, ys, [out],
+                               flops=float(ylen * (len(ys) - 1)), **meta)
+            return
+        groups: dict[int, list[str]] = {}
+        for v, y in zip(cols, ys, strict=True):
+            groups.setdefault(self.owner(u, v), []).append(y)
+        partials = []
+        for node, group in sorted(groups.items()):
+            if len(group) == 1:
+                partials.append(group[0])
+                continue
+            part = self.name("part", u, node)
+            self._vector(part, u)
+            self.prog.add_task(self.name("psum", u, node), _sum_fn, group,
+                               [part], flops=float(ylen * (len(group) - 1)),
+                               **meta)
+            partials.append(part)
+        self.prog.add_task(self.name("sum", u), _sum_fn, partials, [out],
+                           flops=float(ylen * max(len(partials) - 1, 1)),
+                           **meta)
 
 
 @dataclass
@@ -121,32 +206,24 @@ def build_iterated_spmv(
     conforming initial sub-vectors.  ``owner(u, v)`` places sub-matrix
     files on nodes (default: Fig. 5's column ownership).
     """
-    if policy not in ("simple", "interleaved"):
-        raise ValueError(f"unknown policy {policy!r}")
+    partition = grid_partition(blocks, policy)
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    ks = sorted({u for u, _ in blocks} | {v for _, v in blocks})
-    k = len(ks)
-    if sorted(blocks) != [(u, v) for u in range(k) for v in range(k)]:
-        raise ValueError("blocks must cover a complete K x K grid")
-    n = sum(blocks[(u, 0)].nrows for u in range(k))
-    partition = GridPartition(n, k)
-    for (u, v), b in blocks.items():
-        want = (partition.part_length(u), partition.part_length(v))
-        if b.shape != want:
-            raise ValueError(f"block {(u, v)} has shape {b.shape}, want {want}")
+    k = partition.k
     if sorted(x0_parts) != list(range(k)):
         raise ValueError("x0_parts must have one part per grid row")
     if owner is None:
         owner = column_owner(k, n_nodes)
 
-    prog = Program(f"iterated-spmv-{policy}")
-
+    sweep = SweepBuilder(Program(f"iterated-spmv-{policy}"), partition,
+                         policy, owner,
+                         {uv: b.nnz for uv, b in blocks.items()},
+                         block_elems=vector_block_elems)
     # Sub-matrices: serialized bytes, one DOoC block each, on their nodes.
     for (u, v), b in blocks.items():
         raw = np.frombuffer(serialize_csr(b), dtype=np.uint8)
-        prog.initial_array(a_name(u, v), raw, home=owner(u, v),
-                           block_elems=len(raw))
+        sweep.prog.initial_array(a_name(u, v), raw, home=owner(u, v),
+                                 block_elems=len(raw))
 
     # Initial vector parts: x_v feeds column v's multiplies; home it with
     # the (first) owner of that column.
@@ -154,81 +231,16 @@ def build_iterated_spmv(
         part = np.asarray(x0_parts[u], dtype=np.float64)
         if part.shape != (partition.part_length(u),):
             raise ValueError(f"x0 part {u} has wrong length")
-        prog.initial_array(
-            x_name(0, u), part, home=owner(0, u),
-            block_elems=vector_block_elems or partition.part_length(u),
-        )
-
-    vec_block = lambda u: vector_block_elems or partition.part_length(u)  # noqa: E731
+        sweep.seed(x_name(0, u), part, owner(0, u))
 
     for i in range(1, iterations + 1):
-        # Multiplies
+        sweep.stem = f"{{}}_{i}"
         for u, v in partition.coords():
-            ylen = partition.part_length(u)
-            prog.array(y_name(i, u, v), ylen, block_elems=vec_block(u))
-            prog.add_task(
-                f"mult_{i}_{u}_{v}",
-                _mult_fn,
-                [a_name(u, v), x_name(i - 1, v)],
-                [y_name(i, u, v)],
-                flops=2.0 * blocks[(u, v)].nnz,
-                a=a_name(u, v),
-                x=x_name(i - 1, v),
-            )
-        # Reductions
+            sweep.multiply(u, v, x_name(i - 1, v))
         for u in range(k):
-            ylen = partition.part_length(u)
-            prog.array(x_name(i, u), ylen, block_elems=vec_block(u))
-            if policy == "simple":
-                prog.add_task(
-                    f"sum_{i}_{u}",
-                    _sum_fn,
-                    [y_name(i, u, v) for v in range(k)],
-                    [x_name(i, u)],
-                    flops=float(ylen * (k - 1)),
-                )
-            else:
-                # Per-node partial sums first.
-                groups: dict[int, list[int]] = {}
-                for v in range(k):
-                    groups.setdefault(owner(u, v), []).append(v)
-                partial_names = []
-                for node, vs in sorted(groups.items()):
-                    if len(vs) == 1:
-                        # A singleton partial would be a copy; feed the
-                        # intermediate straight into the final sum.
-                        partial_names.append(y_name(i, u, vs[0]))
-                        continue
-                    pname = part_name(i, u, node)
-                    prog.array(pname, ylen, block_elems=vec_block(u))
-                    prog.add_task(
-                        f"psum_{i}_{u}_{node}",
-                        _sum_fn,
-                        [y_name(i, u, v) for v in vs],
-                        [pname],
-                        flops=float(ylen * (len(vs) - 1)),
-                    )
-                    partial_names.append(pname)
-                if len(partial_names) == 1:
-                    # Single owner: rename by a trivial sum (keeps naming
-                    # uniform across policies).
-                    prog.add_task(
-                        f"sum_{i}_{u}",
-                        _sum_fn,
-                        partial_names,
-                        [x_name(i, u)],
-                        flops=float(ylen),
-                    )
-                else:
-                    prog.add_task(
-                        f"sum_{i}_{u}",
-                        _sum_fn,
-                        partial_names,
-                        [x_name(i, u)],
-                        flops=float(ylen * (len(partial_names) - 1)),
-                    )
+            sweep.reduce(u, range(k), x_name(i, u))
     return IteratedSpMVResult(
-        program=prog,
+        program=sweep.prog,
         partition=partition,
         iterations=iterations,
         policy=policy,
@@ -303,129 +315,91 @@ def run_iterated_spmv(
     the drive exits early at a global fixpoint.  The returned iterate is
     still **bit-identical** to the bulk-synchronous drive for exactly
     ``iterations`` sweeps (a period-2 exit picks the phase matching the
-    remaining parity); only the tasks run and bytes read shrink.  See
-    ``docs/ITERATION.md``.
+    remaining parity); only the tasks run and bytes read shrink.  Its
+    sweeps keep each vector part in one block, so it rejects
+    ``vector_block_elems``.  See ``docs/ITERATION.md``.
     """
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     if checkpoint_every is not None and checkpoint_every < 1:
         raise ValueError("checkpoint_every must be >= 1")
-    if incremental:
-        return _run_incremental_spmv(
-            blocks, x0_parts, iterations, n_nodes=n_nodes, policy=policy,
-            owner=owner, vector_block_elems=vector_block_elems,
-            checkpoint_dir=checkpoint_dir, checkpoint_every=checkpoint_every,
-            resume=resume, run_timeout=run_timeout,
-            engine_kwargs=engine_kwargs, cancel=cancel)
-    chunk = checkpoint_every or iterations
+    if incremental and vector_block_elems is not None:
+        raise ValueError("incremental=True does not take vector_block_elems")
+    partition = grid_partition(blocks, policy)
+    if sorted(x0_parts) != list(range(partition.k)):
+        raise ValueError("x0_parts must have one part per grid row")
     parts = {u: np.asarray(p, dtype=np.float64).copy()
              for u, p in x0_parts.items()}
     mgr = None
-    done = 0
     restored = None
     if checkpoint_dir is not None:
         from repro.recovery.checkpoint import CheckpointManager
         mgr = CheckpointManager(checkpoint_dir)
-        if resume:
-            ckpt = mgr.load_latest()
-            if ckpt is not None:
-                done = restored = ckpt.step
-                parts = {int(name[1:]): arr.copy()
-                         for name, arr in ckpt.arrays.items()}
-    run = IteratedSpMVRun(partition=GridPartition(
-        sum(len(p) for p in parts.values()), len(parts)),
-        x_parts=parts, iterations=done, restored_from=restored)
-    while done < iterations:
-        step = min(chunk, iterations - done)
-        built = build_iterated_spmv(
-            blocks, parts, step, n_nodes=n_nodes, policy=policy,
-            owner=owner, vector_block_elems=vector_block_elems)
-        eng = DOoCEngine(n_nodes=n_nodes, **dict(engine_kwargs or {}))
-        try:
-            run.reports.append(eng.run(built.program, timeout=run_timeout,
-                                       cancel=cancel))
-            # fetch() already concatenates into a fresh array — no copy.
-            parts = {u: eng.fetch(x_name(step, u))
-                     for u in range(built.partition.k)}
-        finally:
-            eng.cleanup()
-        done += step
-        if mgr is not None:
-            mgr.save(done, {f"x{u}": parts[u] for u in sorted(parts)},
-                     {"iterations": done, "policy": policy})
-    run.x_parts = parts
-    run.iterations = done
+        ckpt = mgr.load_latest() if resume else None
+        if ckpt is not None:
+            restored = ckpt.step
+            parts = {int(name[1:]): arr.copy()
+                     for name, arr in ckpt.arrays.items()}
+    run = IteratedSpMVRun(partition=partition, x_parts=parts,
+                          iterations=restored or 0, restored_from=restored)
+    chunk = checkpoint_every or iterations
+    if incremental:
+        _run_incremental(run, blocks, iterations, chunk, mgr,
+                         n_nodes=n_nodes, policy=policy, owner=owner,
+                         engine_kwargs=engine_kwargs, cancel=cancel)
+    else:  # bulk-synchronous: one engine program per chunk
+        while run.iterations < iterations:
+            step = min(chunk, iterations - run.iterations)
+            built = build_iterated_spmv(
+                blocks, run.x_parts, step, n_nodes=n_nodes, policy=policy,
+                owner=owner, vector_block_elems=vector_block_elems)
+            eng = DOoCEngine(n_nodes=n_nodes, **dict(engine_kwargs or {}))
+            try:
+                run.reports.append(eng.run(built.program, timeout=run_timeout,
+                                           cancel=cancel))
+                # fetch() already concatenates into a fresh array — no copy.
+                run.x_parts = {u: eng.fetch(x_name(step, u))
+                               for u in range(partition.k)}
+            finally:
+                eng.cleanup()
+            run.iterations += step
+            if mgr is not None:
+                _save(mgr, run.iterations, run.x_parts, policy)
     if mgr is not None:
         run.checkpoint_writes = mgr.writes
     return run
 
 
-def _run_incremental_spmv(
-    blocks: dict[tuple[int, int], CSRBlock],
-    x0_parts: dict[int, np.ndarray],
-    iterations: int,
-    *,
-    n_nodes: int,
-    policy: str,
-    owner: Callable[[int, int], int] | None,
-    vector_block_elems: int | None,
-    checkpoint_dir: str | Path | None,
-    checkpoint_every: int | None,
-    resume: bool,
-    run_timeout: float | None,
-    engine_kwargs: dict | None,
-    cancel,
-) -> IteratedSpMVRun:
+def _save(mgr, done: int, parts: dict[int, np.ndarray], policy: str) -> None:
+    """Checkpoint the iterate's parts after ``done`` iterations."""
+    mgr.save(done, {f"x{u}": parts[u] for u in sorted(parts)},
+             {"iterations": done, "policy": policy})
+
+
+def _run_incremental(run: IteratedSpMVRun, blocks, iterations: int,
+                     chunk: int, mgr, *, n_nodes: int, policy: str, owner,
+                     engine_kwargs: dict | None, cancel) -> None:
     """Delta/workset drive: one engine program per sweep, frozen columns
     served from the product cache, early exit at a bitwise fixpoint or
     period-2 limit cycle (parity-corrected so x^T matches the bulk drive
-    bit for bit)."""
-    from repro.core.convergence import ConvergenceTracker
+    bit for bit).  Leaves ``run`` at ``iterations``."""
     from repro.spmv.ooc_operator import OutOfCoreMatrix, SweepWorkset
 
     op = OutOfCoreMatrix(blocks, n_nodes=n_nodes, policy=policy,
                          owner=owner, engine_kwargs=engine_kwargs)
     op.cancel = cancel
     p = op.partition
-    parts = {u: np.asarray(x0_parts[u], dtype=np.float64).copy()
-             for u in x0_parts}
-    if sorted(parts) != list(range(p.k)):
-        raise ValueError("x0_parts must have one part per grid row")
-    mgr = None
-    done = 0
-    restored = None
-    last_saved: int | None = None
-    if checkpoint_dir is not None:
-        from repro.recovery.checkpoint import CheckpointManager
-        mgr = CheckpointManager(checkpoint_dir)
-        if resume:
-            ckpt = mgr.load_latest()
-            if ckpt is not None:
-                done = restored = last_saved = ckpt.step
-                parts = {int(name[1:]): arr.copy()
-                         for name, arr in ckpt.arrays.items()}
-    chunk = checkpoint_every or iterations
     workset = SweepWorkset(op)
-    tracker = ConvergenceTracker(p.k, tol=0.0, tracer=op.engine.tracer)
-    run = IteratedSpMVRun(partition=p, x_parts=parts, iterations=done,
-                          restored_from=restored)
-    x = p.join_vector(parts)
+    done = run.iterations
+    last_saved = run.restored_from
+    x = p.join_vector(run.x_parts)
     x_two_ago: np.ndarray | None = None
-    pending_aux = 0
     try:
         while done < iterations:
             x_new = op.matvec(x, workset=workset)
-            record = tracker.observe(
-                p.split_vector(x), p.split_vector(x_new),
-                tasks_scheduled=op.last_sweep["tasks"],
-                aux_tasks=pending_aux)
-            pending_aux = 0
-            for v in record.reentered:
-                workset.thaw(v)
+            workset.observe(x, x_new)
             done += 1
-            if (np.array_equal(x_new, x)
-                    or (x_two_ago is not None
-                        and np.array_equal(x_new, x_two_ago))):
+            if _stagnant(x_new, x, x_two_ago):
                 # x(done) repeats x(done-1) or x(done-2): every later
                 # iterate is determined.  Period-1 keeps x_new; a
                 # period-2 cycle alternates x_new / x, so pick the phase
@@ -435,27 +409,17 @@ def _run_incremental_spmv(
                     x = x_new  # else x(T) == x(done-1) == current x
                 run.fixpoint = True
                 break
-            new_parts = p.split_vector(x_new)
-            for v in record.newly_frozen:
-                for phase in tracker.phases(v) or (new_parts[v],):
-                    pending_aux += workset.freeze(v, phase)
+            workset.settle(x_new)
             x_two_ago = x
             x = x_new
             if mgr is not None and done % chunk == 0:
-                mgr.save(done, {f"x{u}": arr for u, arr in
-                                sorted(p.split_vector(x).items())},
-                         {"iterations": done, "policy": policy})
+                _save(mgr, done, p.split_vector(x), policy)
                 last_saved = done
     finally:
         op.engine.cleanup()
     run.x_parts = p.split_vector(x)
     run.iterations = iterations if run.fixpoint else done
-    run.convergence = tracker.report
+    run.convergence = workset.tracker.report
     run.sweep_log = list(op.sweep_log)
-    if mgr is not None:
-        if last_saved != run.iterations:
-            mgr.save(run.iterations,
-                     {f"x{u}": arr for u, arr in sorted(run.x_parts.items())},
-                     {"iterations": run.iterations, "policy": policy})
-        run.checkpoint_writes = mgr.writes
-    return run
+    if mgr is not None and last_saved != run.iterations:
+        _save(mgr, run.iterations, run.x_parts, policy)

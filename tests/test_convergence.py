@@ -410,6 +410,14 @@ class TestIncrementalIteratedSpMV:
         assert inc.fixpoint
         assert len(inc.convergence.sweeps) < 50
 
+    def test_incremental_rejects_vector_block_elems(self, x0_parts):
+        """Incremental sweeps keep each vector part in one block, so a
+        vector_block_elems request must not be dropped silently."""
+        blocks = self.split(sp.identity(self.n, format="csr"))
+        with pytest.raises(ValueError, match="vector_block_elems"):
+            run_iterated_spmv(blocks, x0_parts, 2, incremental=True,
+                              vector_block_elems=16)
+
     @pytest.mark.parametrize("t", [6, 7, 8, 9])
     def test_period2_cycle_parity_corrected(self, x0_parts, t):
         """A block-swap permutation cycles with exact period 2; the early

@@ -11,9 +11,10 @@ structured terminal state — never a hang, never a generic StallError.
 import os
 import threading
 import time
-from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core.errors import StallError
 from repro.faults import FaultPlan, RetryPolicy, job_fault_plan
@@ -27,6 +28,7 @@ from repro.server import (
 )
 from repro.server.admission import AdmissionDecision, admit, fair_share_order
 from repro.server.jobs import JobRecord
+from repro.server.runner import _build_problem, digest_vector
 from repro.server.sweep import pid_alive, sweep
 
 
@@ -82,6 +84,28 @@ class TestJobSpec:
         assert lanczos > big  # the Krylov basis is accounted for
         declared = _spec(working_set_bytes=123)
         assert declared.working_set == 123
+
+
+class TestRunner:
+    def test_digest_refuses_non_finite_and_zero_vectors(self):
+        assert len(digest_vector(np.arange(1.0, 4.0))) == 32
+        for bad in (np.array([1.0, np.nan]), np.array([np.inf, 1.0]),
+                    np.zeros(3)):
+            with pytest.raises(ValueError):
+                digest_vector(bad)
+
+    def test_spmv_job_matrix_has_unit_inf_norm(self):
+        """rho(A) <= ||A||_inf = 1: the preemption job's 300 sweeps stay
+        finite and non-zero, so its digests witness real bits."""
+        spec = _spec(kind="spmv", n=96, iterations=300)
+        partition, blocks, vec = _build_problem(spec)
+        a = sp.bmat([[blocks[(u, v)].to_scipy() for v in range(spec.parts)]
+                     for u in range(spec.parts)])
+        assert abs(a).sum(axis=1).max() == pytest.approx(1.0)
+        x = vec
+        for _ in range(spec.iterations):
+            x = a @ x
+        assert np.all(np.isfinite(x)) and np.any(x)
 
 
 class TestAdmission:

@@ -128,6 +128,18 @@ class TestOutOfCore:
         m, op = ooc
         np.testing.assert_allclose(op.diagonal(), m.to_scipy().diagonal())
 
+    def test_diagonal_with_missing_entries(self, tmp_path):
+        """Rows whose diagonal entry is not stored read back as 0.0."""
+        n, k = 30, 3
+        dense = np.random.default_rng(8).standard_normal((n, n))
+        dense[dense < 0.5] = 0.0
+        np.fill_diagonal(dense, np.arange(1.0, n + 1))
+        dense[[0, 7, 12, 29], [0, 7, 12, 29]] = 0.0
+        m = CSRBlock.from_scipy(sp.csr_matrix(dense))
+        op = OutOfCoreMatrix(GridPartition(n, k).split_matrix(m), n_nodes=1,
+                             scratch_dir=tmp_path)
+        np.testing.assert_array_equal(op.diagonal(), np.diag(dense))
+
     def test_jacobi_out_of_core(self, ooc):
         m, op = ooc
         rng = np.random.default_rng(5)
