@@ -19,7 +19,6 @@ Exit status: 0 on success, 1 on any violated expectation.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 import signal

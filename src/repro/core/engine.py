@@ -94,7 +94,6 @@ from repro.obs import (
 )
 from repro.recovery.lineage import LineageLog, plan_reconstruction
 from repro.recovery.membership import (
-    DEAD,
     SUSPECT,
     MembershipConfig,
     MembershipTracker,
@@ -350,8 +349,8 @@ class _StorageFilter(Filter):
             elif e.kind == "drop":
                 # Memory already reclaimed by the store; tell the local
                 # scheduler so it can re-arm the array's prefetch (an
-                # evicted-after-prefetch block otherwise sat invisible in
-                # its `_prefetched` set until the stall recovery kicked in).
+                # evicted-after-prefetch block otherwise stays marked in
+                # its `_prefetched` set until its task is claimed).
                 self.tracer.instant(self.node, "storage", "storage", "drop",
                                     array=e.array, block=e.block)
                 if not self._draining:
@@ -591,7 +590,8 @@ class _StorageFilter(Filter):
                                     array=msg["array"], blocks=dropped)
         elif op == "map":
             ctx.write("rep_lsched", DataBuffer(
-                {"op": "map", "resident": self.store.resident_arrays()}))
+                {"op": "map", "resident": self.store.resident_arrays(),
+                 "loading": self.store.loading_arrays()}))
         elif op == "delete":
             self.directory.invalidate(msg["array"])
             self._try_delete(ctx, msg["array"])
@@ -1085,19 +1085,18 @@ class _LocalSchedulerFilter(Filter):
     Faithful to Section III-C: "When a computing filter is free, a task
     which is ready and whose data input are available in memory is sent to
     the computing filter", with prefetch requests keeping a window of
-    ready tasks memory-resident.  Liveness is guaranteed by a stall
-    counter: when a node has been idle for a few ticks with no prefetch
-    landing (the storage may drop prefetches under memory pressure), the
-    top-ranked task is dispatched anyway and its demand reads do the I/O.
+    ready tasks memory-resident.  Dispatch is event-driven: when no ready
+    task has every input resident, the node waits only while a task is in
+    flight or one of its blocks is loading, since each of those ends in a
+    message (a worker's ``done``/``failed``, or the storage ``wake`` that
+    follows every load, fetch and failure).  Otherwise nothing can change
+    the decision, e.g. the storage declined the prefetch for lack of free
+    headroom, so the top-ranked task is claimed at once and its demand
+    reads do the I/O.
     """
 
     inputs = ("in", "from_workers", "from_storage")
     outputs = ("to_gsched", "to_workers", "to_storage")
-
-    #: seconds between liveness ticks while idle work exists
-    TICK_S = 0.02
-    #: idle ticks before dispatching a task whose inputs are not resident
-    STALL_TICKS = 3
 
     def __init__(self, node: int, workers: int,
                  nbytes: dict[str, int], *, prefetch_depth: int = 2,
@@ -1128,7 +1127,6 @@ class _LocalSchedulerFilter(Filter):
         self._attempts: dict[str, int] = {}  # task -> attempts dispatched here
         self._inflight = 0
         self._completions = 0
-        self._stall = 0
         #: a cancel drain is underway: no dispatch, no retries, no
         #: escalation — only in-flight work finishes
         self._cancelling = False
@@ -1137,42 +1135,35 @@ class _LocalSchedulerFilter(Filter):
     def _on_storage_note(self, msg: dict) -> None:
         """A push notification from storage (not a map reply)."""
         if msg["op"] == "dropped":
-            # The block was evicted: re-arm its prefetch instead of waiting
-            # for the stall-recovery reset to notice.
+            # The block was evicted: re-arm its prefetch.
             self.core.forget_prefetch(msg["array"])
         # "wake": residency changed; the caller re-runs dispatch anyway.
 
-    def _query_map(self, ctx: FilterContext) -> set[str]:
+    def _query_map(self, ctx: FilterContext) -> tuple[set[str], set[str]]:
+        """This node's (resident, loading) arrays, from storage."""
         ctx.write("to_storage", DataBuffer({"op": "map"}))
         while True:
             buf = ctx.read("from_storage")
             if buf is END_OF_STREAM:
-                return set()
+                return set(), set()
             if buf.payload["op"] == "map":
-                return buf.payload["resident"]
+                return buf.payload["resident"], buf.payload["loading"]
             # "wake"/"dropped" notifications racing the reply are absorbed
             # here; the dispatch about to run uses the fresher map anyway.
             self._on_storage_note(buf.payload)
 
-    def _choose(self, resident: set[str]) -> TaskSpec | None:
+    def _choose(self, resident: set[str],
+                loading: set[str]) -> TaskSpec | None:
         ranked = self.core.rank(resident, self.nbytes)
         if not ranked:
             return None
-        if not self.core.reorder:
-            # Ablation: the naive plan runs strictly in readiness order,
-            # paying demand loads as they come (Fig. 5a).
-            self._stall = 0
-            return self.core.claim(ranked[0].name)
-        for t in ranked:
-            if all(a in resident for a in t.inputs):
-                self._stall = 0
-                return self.core.claim(t.name)
-        # Nothing memory-resident. Wait for prefetches unless the node has
-        # been starving: then force progress with the preferred task.
-        if self._inflight == 0 and self._stall >= self.STALL_TICKS:
-            self._stall = 0
-            return self.core.claim(ranked[0].name)
-        return None
+        # Ranking puts any task whose inputs are all resident first.  The
+        # naive ablation plan (Fig. 5a) runs strictly in readiness order.
+        top = ranked[0]
+        if (not self.core.reorder or all(a in resident for a in top.inputs)
+                or not (self._inflight or loading)):
+            return self.core.claim(top.name)
+        return None  # a done/failed or a load's wake will re-run dispatch
 
     @property
     def _dying(self) -> bool:
@@ -1224,14 +1215,14 @@ class _LocalSchedulerFilter(Filter):
         if self._dying or self._cancelling:
             return  # no new work on a node that is dying or draining
         while self._idle and self.core.ready_count:
-            resident = self._query_map(ctx)
+            resident, loading = self._query_map(ctx)
             # Keep upcoming tasks warm regardless of whether we dispatch.
             for array in self.core.prefetch_plan(resident, self.nbytes):
                 self.tracer.instant(self.node, "sched", "sched", "prefetch",
                                     array=array)
                 ctx.write("to_storage", DataBuffer(
                     {"op": "prefetch", "array": array}))
-            task = self._choose(resident)
+            task = self._choose(resident, loading)
             if task is None:
                 break
             subtasks = [task]
@@ -1263,7 +1254,6 @@ class _LocalSchedulerFilter(Filter):
             "ready_tasks": sorted(t.name for t in self.core.pending_tasks()),
             "inflight": self._inflight,
             "idle_workers": len(self._idle),
-            "stall_ticks": self._stall,
         }
 
     def _inc(self, name: str) -> None:
@@ -1341,25 +1331,12 @@ class _LocalSchedulerFilter(Filter):
             if self._dying and self._inflight == 0:
                 self._die(ctx)
                 return
-            stall_wait = bool(self._idle and self.core.ready_count
-                              and not self._dying)
-            timeout = self.TICK_S if stall_wait else None
-            if self.heartbeat_s is not None and not self._dying:
-                timeout = (self.heartbeat_s if timeout is None
-                           else min(timeout, self.heartbeat_s))
+            timeout = None if self._dying else self.heartbeat_s
             try:
                 port, buf = ctx.read_any(
                     ["in", "from_workers", "from_storage"], timeout=timeout)
             except TimeoutError:
                 self._maybe_beat(ctx)
-                if stall_wait:
-                    # Idle tick: count starvation, re-arm dropped prefetches.
-                    self._stall += 1
-                    self.tracer.instant(self.node, "sched", "sched",
-                                        "stall_tick", ticks=self._stall)
-                    if self._stall >= self.STALL_TICKS:
-                        self.core.reset_prefetch()
-                    self._dispatch(ctx)
                 continue
             self._maybe_beat(ctx)
             if buf is END_OF_STREAM:
@@ -1382,8 +1359,11 @@ class _LocalSchedulerFilter(Filter):
                     ctx.write("to_storage", DataBuffer(msg))
                     continue
                 if self._cancelling:
-                    continue  # a task dispatched before the cancel crossed it
-                self.core.add_ready(msg["task"])
+                    continue  # tasks dispatched before the cancel crossed it
+                # A whole readiness wave is ranked together, so its first
+                # task is never forced before a resident sibling arrives.
+                for task in msg["tasks"]:
+                    self.core.add_ready(task)
             elif port == "from_storage":
                 self._on_storage_note(msg)  # wake/dropped; then re-dispatch
             else:
@@ -1498,10 +1478,14 @@ class _GlobalSchedulerFilter(Filter):
         for i in self._live_nodes():
             ctx.write(f"out_{i}", DataBuffer(dict(payload)))
 
-    def _send(self, ctx: FilterContext, task_name: str) -> None:
-        node = self.assignment[task_name]
-        ctx.write(f"out_{node}", DataBuffer(
-            {"op": "task", "task": self.dag.tasks[task_name]}))
+    def _send(self, ctx: FilterContext, names: list[str]) -> None:
+        """Send ready tasks, one ``tasks`` message per assigned node."""
+        waves: dict[int, list[TaskSpec]] = {}
+        for name in names:
+            waves.setdefault(self.assignment[name], []).append(
+                self.dag.tasks[name])
+        for node, tasks in waves.items():
+            ctx.write(f"out_{node}", DataBuffer({"op": "tasks", "tasks": tasks}))
 
     def _collect(self, ctx: FilterContext, completed: str) -> None:
         for array in self.dag.tasks[completed].inputs:
@@ -1534,7 +1518,7 @@ class _GlobalSchedulerFilter(Filter):
                             task=name, from_node=failed_node,
                             error=msg["error"])
         self._move_task(ctx, name, new_node)
-        self._send(ctx, name)
+        self._send(ctx, [name])
 
     def _move_task(self, ctx: FilterContext, name: str, new_node: int) -> None:
         """Re-home a task's outputs to ``new_node`` and prep its inputs.
@@ -1661,7 +1645,7 @@ class _GlobalSchedulerFilter(Filter):
             rc.metrics.inc("tasks_replayed")
             if rc.lineage is not None:
                 rc.lineage.record("replay", task=name, node=new_node)
-            self._send(ctx, name)
+            self._send(ctx, [name])
         for name in plan.reassign:
             spec = self.dag.tasks[name]
             new_node = failover_node(spec.inputs, self.homes, survivors,
@@ -1685,7 +1669,7 @@ class _GlobalSchedulerFilter(Filter):
                 # corpse may even have finished it with the report still in
                 # flight, so tolerate one duplicate completion.
                 self._dup_ok.add(name)
-                self._send(ctx, name)
+                self._send(ctx, [name])
         if rc.lineage is not None:
             rc.lineage.sync()
 
@@ -1730,8 +1714,7 @@ class _GlobalSchedulerFilter(Filter):
             # handshake still happens so the exit path is the same.
             self._begin_cancel(ctx)
         else:
-            for name in sorted(self.dag.ready_tasks()):
-                self._send(ctx, name)
+            self._send(ctx, sorted(self.dag.ready_tasks()))
         poll_s = (self.membership.config.poll_s
                   if self.membership is not None else None)
         wait_s = poll_s
@@ -1785,9 +1768,9 @@ class _GlobalSchedulerFilter(Filter):
                 # re-execution already marked it complete (or vice versa).
                 self._dup_ok.discard(msg["task"])
                 continue
-            for newly in self.dag.mark_complete(msg["task"]):
-                if not self.cancelled:
-                    self._send(ctx, newly)
+            newly = self.dag.mark_complete(msg["task"])
+            if not self.cancelled:
+                self._send(ctx, newly)
             if (self.recovery is not None
                     and self.recovery.lineage is not None):
                 self.recovery.lineage.record(

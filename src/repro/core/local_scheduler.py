@@ -50,7 +50,9 @@ class LocalSchedulerCore:
         self.reorder = reorder
         self._seq = itertools.count()
         self._ready: dict[str, _ReadyEntry] = {}
-        self._prefetched: set[str] = set()  # arrays already asked for
+        #: arrays already asked for; a declined prefetch stays here until
+        #: its task is claimed or storage reports the array dropped
+        self._prefetched: set[str] = set()
 
     # -- feeding ---------------------------------------------------------------
 
@@ -103,15 +105,6 @@ class LocalSchedulerCore:
         entry = self._ready.pop(name)
         self._prefetched.difference_update(entry.task.inputs)
         return entry.task
-
-    def reset_prefetch(self) -> None:
-        """Forget all in-flight prefetch bookkeeping (stall recovery).
-
-        Re-prefetching a block that is resident or already loading is a
-        no-op in the storage layer, so this is always safe; it re-enables
-        requests for prefetches the storage dropped under memory pressure.
-        """
-        self._prefetched.clear()
 
     def prefetch_plan(self, resident: AbstractSet[str],
                       nbytes: Mapping[str, int]) -> list[str]:

@@ -641,6 +641,15 @@ class LocalStore:
                 out.add(name)
         return out
 
+    def loading_arrays(self) -> set[str]:
+        """Arrays with a block being loaded from disk or fetched from a peer.
+
+        Each such block ends in an I/O or peer reply, so a scheduler
+        waiting on one is always woken again.
+        """
+        return {name for (name, _b), st in self._blocks.items()
+                if st.status in (_LOADING, _FETCHING)}
+
     @property
     def headroom(self) -> int:
         return self.budget - self.in_use

@@ -29,6 +29,16 @@ from repro.datacutter.layout import DistributionPolicy, Layout, StreamSpec
 _POLL_S = 0.05  # wait slice so blocked threads can observe runtime failure
 
 
+def _wait_slice(deadline: float | None, op: str, what) -> float:
+    """Seconds to wait next: one poll slice, clamped to the deadline."""
+    if deadline is None:
+        return _POLL_S
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError(f"{op}({what!r}) timed out")
+    return min(_POLL_S, left)
+
+
 class _Channel:
     """Bounded FIFO for one stream arriving at one consumer instance."""
 
@@ -152,9 +162,7 @@ class _InstanceRuntime:
                     return END_OF_STREAM
                 if self.runtime._failed.is_set():
                     raise StreamClosedError("runtime failed while reading")
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise TimeoutError(f"read({port!r}) timed out")
-                self.cond.wait(_POLL_S)
+                self.cond.wait(_wait_slice(deadline, "read", port))
 
     def read_any(self, ports: Sequence[str], timeout: float | None = None):
         for port in ports:
@@ -176,9 +184,7 @@ class _InstanceRuntime:
                     return None, END_OF_STREAM
                 if self.runtime._failed.is_set():
                     raise StreamClosedError("runtime failed while reading")
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise TimeoutError(f"read_any({ports!r}) timed out")
-                self.cond.wait(_POLL_S)
+                self.cond.wait(_wait_slice(deadline, "read_any", ports))
 
     # -- writing ------------------------------------------------------------
 

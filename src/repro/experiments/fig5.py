@@ -16,7 +16,6 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from tempfile import TemporaryDirectory
-from typing import Dict, List
 
 import numpy as np
 

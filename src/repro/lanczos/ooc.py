@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from pathlib import Path
 from collections.abc import Callable
-from typing import Dict
 
 import numpy as np
 

@@ -23,7 +23,6 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
-from typing import Dict
 
 from repro.sim.kernel import Environment, Event, SimulationError
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Callable, Iterator
-from typing import Dict
 
 import numpy as np
 

@@ -19,7 +19,6 @@ from repro.core.codecs import (
     Codec,
     RawCodec,
     ShuffleZlibCodec,
-    ZlibCodec,
     available_codecs,
     get_codec,
     register_codec,

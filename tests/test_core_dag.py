@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.dag import TaskDAG
 from repro.core.errors import SchedulingError
-from repro.core.task import TaskSpec, task
+from repro.core.task import task
 
 
 def noop(ins, outs, meta):

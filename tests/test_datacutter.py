@@ -1,6 +1,7 @@
 """Tests for the filter-stream middleware (buffers, layout, threaded runtime)."""
 
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -370,3 +371,31 @@ class TestReadAny:
         layout.add_filter("f", Empty)
         ThreadedRuntime(layout).run(timeout=10)
         assert result == [(None, END_OF_STREAM)]
+
+    def test_read_any_timeout_is_not_rounded_up_to_a_poll_slice(self):
+        elapsed = []
+
+        class Waiter(Filter):
+            inputs = ("p",)
+
+            def process(self, ctx):
+                start = time.monotonic()
+                with pytest.raises(TimeoutError):
+                    ctx.read_any(["p"], timeout=0.01)
+                elapsed.append(time.monotonic() - start)
+                while ctx.read("p") is not END_OF_STREAM:
+                    pass
+
+        class Quiet(Filter):
+            outputs = ("out",)
+
+            def process(self, ctx):
+                while not elapsed:
+                    time.sleep(0.005)
+
+        layout = Layout("t")
+        layout.add_filter("q", Quiet)
+        layout.add_filter("w", Waiter)
+        layout.connect("q", "out", "w", "p")
+        ThreadedRuntime(layout).run(timeout=10)
+        assert len(elapsed) == 1 and elapsed[0] < 0.035

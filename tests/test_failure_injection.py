@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.core import DOoCEngine, Program
 from repro.datacutter import (
-    END_OF_STREAM,
     DataBuffer,
     Filter,
     FilterError,

@@ -1,6 +1,5 @@
 """Property tests for interval algebra and the scheduler decision cores."""
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro.core.errors import StallError
 from repro.faults import FaultPlan, RetryPolicy, job_fault_plan
 from repro.server import (
     JobManager,

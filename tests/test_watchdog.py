@@ -159,6 +159,46 @@ class TestEngineStall:
         assert "stall watchdog" in text
         assert "y[0]" in text and "awaiting grant" in text
 
+    def test_idle_worker_behind_hung_task_is_diagnosed(self, tmp_path):
+        # `hang` pins 32 KiB and stalls; once `kick` finishes, `other` is
+        # ready but its 32 KiB input cannot fit beside the pinned one.
+        # The node must then fall silent so the watchdog sees the stall;
+        # idle scheduler activity would keep resetting its quiet clock.
+        n = 4096
+        prog = Program("hung", default_block_elems=n)
+        prog.initial_array("x1", np.ones(n))
+        prog.initial_array("x2", np.ones(n))
+        prog.initial_array("z", np.ones(4))
+        for name in ("h", "k", "o"):
+            prog.array(name, 4)
+        started = threading.Event()
+
+        def hang(ins, outs, meta):
+            started.set()
+            time.sleep(2.0)
+            outs["h"][:] = ins["x1"][:4]
+
+        def kick(ins, outs, meta):
+            assert started.wait(10)
+            outs["k"][:] = ins["z"]
+
+        def other(ins, outs, meta):
+            outs["o"][:] = ins["x2"][:4] + ins["k"]
+
+        prog.add_task("hang", hang, ["x1"], ["h"])
+        prog.add_task("kick", kick, ["z"], ["k"])
+        prog.add_task("other", other, ["x2", "k"], ["o"])
+        eng = DOoCEngine(n_nodes=1, workers=2, memory_budget_per_node=40_000,
+                         scratch_dir=tmp_path, watchdog_quiet_s=0.3)
+        report = eng.run(prog, timeout=30)
+        np.testing.assert_array_equal(eng.fetch("o"), np.full(4, 2.0))
+        diag = report.diagnosis
+        assert diag is not None
+        (node0,) = [n_ for n_ in diag.nodes if n_.get("node") == 0]
+        assert node0["ready_tasks"] == ["other"]
+        assert (node0["inflight"], node0["idle_workers"]) == (1, 1)
+        assert "tasks in flight: 1, idle workers: 1" in diag.render()
+
     def test_watchdog_can_be_disabled(self, tmp_path):
         prog = Program("ok", default_block_elems=64)
         prog.initial_array("x", np.ones(64))
