@@ -62,7 +62,7 @@ def main() -> None:
             # Budget: ~1.5 sub-matrices plus room for the working vectors —
             # the Fig. 5 regime where only one sub-matrix fits at a time.
             engine = DOoCEngine(
-                n_nodes=k, workers_per_node=1,
+                n_nodes=k, workers=1,
                 memory_budget_per_node=int(1.5 * a_bytes) + 64 * args.n,
                 scratch_dir=scratch,
                 trace=bool(args.trace),

@@ -38,7 +38,7 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as scratch:
         engine = DOoCEngine(
             n_nodes=2,
-            workers_per_node=2,
+            workers=2,
             memory_budget_per_node=1 << 20,  # 1 MiB: forces out-of-core
             scratch_dir=scratch,
         )

@@ -15,6 +15,7 @@ from repro.bench.harness import (
     SCHEMA,
     ConvergenceWorkload,
     Workload,
+    bit_identical,
     check_convergence_invariants,
     check_regression,
     load_report,
@@ -30,6 +31,7 @@ __all__ = [
     "SCHEMA",
     "ConvergenceWorkload",
     "Workload",
+    "bit_identical",
     "check_convergence_invariants",
     "check_regression",
     "load_report",

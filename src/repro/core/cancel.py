@@ -6,8 +6,8 @@ tear streams: the global scheduler notices the token, stops dispatching,
 broadcasts a drain request, and waits for every node to report its
 in-flight tasks finished before running the normal wind-down.  The run
 then raises :class:`~repro.core.errors.RunCancelled` with every ticket
-released, /dev/shm unlinked, and nothing torn on disk — exactly the
-same exit hygiene as a successful run.
+released and nothing torn on disk — exactly the same exit hygiene as a
+successful run.
 
 The token is therefore safe to set from any thread at any time,
 including before ``run()`` starts (the run cancels before dispatching

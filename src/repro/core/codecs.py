@@ -10,18 +10,19 @@ so readers self-describe.
 Design (zarr-style chunk+codec layering):
 
 * a :class:`Codec` turns a block's raw bytes into an encoded payload and
-  back; ``decode_into`` lands the decoded bytes **directly in a
-  caller-provided buffer** (a pooled shared-memory segment on the process
-  worker plane), so decompression never adds a staging copy to the data
-  plane — the hot loop's ``bytes_copied == 0`` invariant survives;
+  back; ``decode_into`` writes the decoded bytes into a caller-provided
+  buffer (the block buffer :func:`repro.core.iofilter.read_block`
+  allocates).  The zlib codecs still copy on the way: the payload into a
+  ``bytes`` object, and zlib's output buffer into ``out``.  These copies
+  are not counted in ``bytes_copied``, which covers only the worker's
+  gather/scatter copies;
 * codecs are looked up by name in a registry (:func:`register_codec` /
   :func:`get_codec`), so block headers and checkpoint manifests can name
   their codec and new codecs plug in without touching the I/O layer;
 * :func:`resolve_codec` normalizes the engine-level choice: an explicit
   argument beats the ``DOOC_CODEC`` environment variable, which is
-  sampled **once** (at ``DOoCEngine`` construction, exactly like
-  ``DOOC_DATA_PLANE``) — a mid-run flip cannot de-cohere readers from
-  writers.
+  sampled **once** (at ``DOoCEngine`` construction) — a mid-run flip
+  cannot de-cohere readers from writers.
 
 This is the only module allowed to touch :mod:`zlib`/:mod:`lzma`/:mod:`bz2`
 directly — lint rule ``DOOC007`` (:mod:`repro.analysis.rules`) flags any
@@ -77,8 +78,8 @@ class Codec:
     def decode_into(self, payload, out: memoryview, itemsize: int = 1) -> None:
         """Decode ``payload`` into the writable buffer ``out`` (exact fit).
 
-        ``out`` is typically a view over a pooled shared-memory segment:
-        the decode *is* the segment fill.  Raises :class:`CodecError`
+        ``out`` is typically the freshly allocated block buffer of
+        :func:`repro.core.iofilter.read_block`.  Raises :class:`CodecError`
         when the payload does not decode to exactly ``len(out)`` bytes —
         a truncated or corrupt payload must surface as a clean error,
         never as a garbage block.

@@ -25,7 +25,6 @@ every protocol path of the paper executes, just without a physical wire.
 
 from __future__ import annotations
 
-import itertools
 import os
 import shutil
 import tempfile
@@ -65,16 +64,7 @@ from repro.core.opcache import (
     OPERAND_CONTEXT_KEY,
     DecodedOperandCache,
     OperandContext,
-    legacy_copy_plane,
-    resolve_data_plane,
 )
-from repro.core.procplane import (
-    EnvelopeUnpicklable,
-    ProcessWorkerPool,
-    WorkerProcessCrash,
-    build_envelope,
-)
-from repro.core.shm import SegmentLeakError, SegmentPool
 from repro.core.storage import Effect, LocalStore, StoreStats, Ticket
 from repro.core.task import TaskSpec
 from repro.datacutter.buffers import END_OF_STREAM, DataBuffer
@@ -229,8 +219,7 @@ class _StorageFilter(Filter):
     def __init__(self, node: int, n_nodes: int, store: LocalStore,
                  directory: DirectoryClient, descs: dict[str, ArrayDesc],
                  tracer: Tracer | None = None,
-                 injector: FaultInjector | None = None,
-                 legacy_copies: bool | None = None):
+                 injector: FaultInjector | None = None):
         self.node = node
         self.n_nodes = n_nodes
         self.store = store
@@ -238,14 +227,6 @@ class _StorageFilter(Filter):
         self.descs = descs
         self.tracer = tracer or Tracer(enabled=False)
         self.injector = injector
-        #: legacy (copying) peer-serve path for A/B benchmarking; the
-        #: zero-copy plane serves the sealed block's read-only view
-        #: directly.  The engine threads its construction-time snapshot
-        #: here; sampling the environment is only the fallback for direct
-        #: construction, so a mid-run DOOC_DATA_PLANE flip can't leave
-        #: this filter on a different plane than its peers.
-        self.legacy_copies = (legacy_copy_plane() if legacy_copies is None
-                              else bool(legacy_copies))
         self.outputs = ("rep_workers", "rep_lsched", "io_cmd") + tuple(
             f"peer_out_{j}" for j in range(n_nodes) if j != node
         )
@@ -310,15 +291,11 @@ class _StorageFilter(Filter):
             # is sealed (write-once), so the peer may share the memory; it
             # stays alive through numpy's base reference even if this node
             # reclaims the buffer afterwards.
-            data = np.asarray(ticket.data)
-            if self.legacy_copies:
-                self.store.metrics.inc("bytes_copied", int(data.nbytes))
-                data = data.copy()
             self._peer_write(ctx, tag[1], {
                 "op": "blockdata",
                 "array": iv.array,
                 "block": iv.block,
-                "data": data,
+                "data": np.asarray(ticket.data),
             })
             # Served: release our local pin immediately.
             self._execute(ctx, self.store.release(ticket))
@@ -339,7 +316,7 @@ class _StorageFilter(Filter):
                 self._io_started[("load", e.array, e.block)] = self.tracer.now()
                 ctx.write("io_cmd", DataBuffer(
                     {"op": "load", "desc": self.descs[e.array],
-                     "block": e.block, "segment": e.segment}))
+                     "block": e.block}))
             elif e.kind == "spill":
                 self._outstanding_io += 1
                 self._io_started[("spill", e.array, e.block)] = self.tracer.now()
@@ -818,9 +795,7 @@ class _WorkerFilter(Filter):
                  tracer: Tracer | None = None,
                  injector: FaultInjector | None = None,
                  metrics: MetricsRegistry | None = None,
-                 opcache: DecodedOperandCache | None = None,
-                 plane: ProcessWorkerPool | None = None,
-                 segment_pool: SegmentPool | None = None):
+                 opcache: DecodedOperandCache | None = None):
         self.node = node
         self.descs = descs
         self.tracer = tracer or Tracer(enabled=False)
@@ -829,11 +804,6 @@ class _WorkerFilter(Filter):
         #: node-shared decoded-operand cache (None = disabled); handed to
         #: task bodies through the OperandContext in ``meta``
         self.opcache = opcache
-        #: process worker plane: when set, task bodies ship to a worker
-        #: process as block-handle envelopes; this thread stays the
-        #: protocol endpoint (tickets, leases, failure reports)
-        self.plane = plane
-        self.segment_pool = segment_pool
 
     def _inc(self, name: str, n: int = 1) -> None:
         if self.metrics is not None:
@@ -949,32 +919,27 @@ class _WorkerFilter(Filter):
                 raise InjectedTaskCrash(
                     f"injected crash of task {task.name!r} attempt {attempt} "
                     f"on node {self.node}")
-            ran_remote = False
-            if self.plane is not None:
-                ran_remote = self._run_remote(
-                    ctx, task, read_tickets, write_tickets, out_ranges)
-            if not ran_remote:
-                inputs = {a: self._gather_input(ts)
-                          for a, ts in read_tickets.items()}
-                meta = task.meta
-                if self.opcache is not None:
-                    # Hand the task body the node's operand cache plus the
-                    # seal generations of its read grants (the freshness
-                    # proof for cache keys) — without changing the fn
-                    # signature.
-                    meta = dict(meta)
-                    meta[OPERAND_CONTEXT_KEY] = OperandContext(
-                        self.opcache,
-                        {a: tuple(t.generation for t in ts)
-                         for a, ts in read_tickets.items()})
-                task.fn(inputs, out_buffers, meta)
-                for array, temp in scatter:
-                    desc = self.descs[array]
-                    lo, _ = out_ranges.get(array, (0, desc.length))
-                    self._inc("bytes_copied", int(temp.nbytes))
-                    for t in write_tickets[array]:
-                        t.data[:] = temp[t.interval.lo - lo:
-                                         t.interval.hi - lo]
+            inputs = {a: self._gather_input(ts)
+                      for a, ts in read_tickets.items()}
+            meta = task.meta
+            if self.opcache is not None:
+                # Hand the task body the node's operand cache plus the
+                # seal generations of its read grants (the freshness
+                # proof for cache keys) — without changing the fn
+                # signature.
+                meta = dict(meta)
+                meta[OPERAND_CONTEXT_KEY] = OperandContext(
+                    self.opcache,
+                    {a: tuple(t.generation for t in ts)
+                     for a, ts in read_tickets.items()})
+            task.fn(inputs, out_buffers, meta)
+            for array, temp in scatter:
+                desc = self.descs[array]
+                lo, _ = out_ranges.get(array, (0, desc.length))
+                self._inc("bytes_copied", int(temp.nbytes))
+                for t in write_tickets[array]:
+                    t.data[:] = temp[t.interval.lo - lo:
+                                     t.interval.hi - lo]
             held.clear()  # from here the normal releases own every ticket
             for tickets in read_tickets.values():
                 self._release_all(ctx, tickets)
@@ -983,65 +948,6 @@ class _WorkerFilter(Filter):
         except BaseException:
             self._abort(ctx, held)
             raise
-
-    def _run_remote(self, ctx: FilterContext, task: TaskSpec,
-                    read_tickets: dict[str, list[Ticket]],
-                    write_tickets: dict[str, list[Ticket]],
-                    out_ranges: dict[str, tuple[int, int]]) -> bool:
-        """Ship the task to this slot's worker process.
-
-        Returns False to fall back to inline execution (a grant without a
-        segment handle, or a task that can't pickle).  Every granted
-        span's segment is leased around the dispatch, so a concurrent
-        reclaim can never unlink memory the child is computing on; leases
-        drain in the ``finally`` even when the child crashes — the parent
-        owns the lease lifecycle, never the (killable) child.
-        """
-        every = ([t for ts in read_tickets.values() for t in ts]
-                 + [t for ts in write_tickets.values() for t in ts])
-        if any(t.handle is None for t in every):
-            self._inc("process_plane_fallbacks")
-            return False
-        input_handles = {a: [t.handle for t in ts]
-                         for a, ts in read_tickets.items()}
-        output_specs = {}
-        for array, tickets in write_tickets.items():
-            desc = self.descs[array]
-            lo, hi = out_ranges.get(array, (0, desc.length))
-            output_specs[array] = {
-                "dtype": desc.dtype, "lo": lo, "hi": hi,
-                "parts": [(t.handle, t.interval.lo, t.interval.hi)
-                          for t in tickets],
-            }
-        generations = {a: tuple(t.generation for t in ts)
-                       for a, ts in read_tickets.items()}
-        envelope = build_envelope(task.fn, task.meta, input_handles,
-                                  output_specs, generations)
-        leased: list[str] = []
-        try:
-            for t in every:
-                self.segment_pool.lease(t.handle.segment)
-                leased.append(t.handle.segment)
-            try:
-                reply = self.plane.run_envelope(
-                    self.node, ctx.instance, envelope)
-            except EnvelopeUnpicklable:
-                self._inc("process_plane_fallbacks")
-                return False
-            except WorkerProcessCrash:
-                self._inc("worker_crashes")
-                raise  # -> failure report -> re-dispatch (worker respawned)
-        finally:
-            for name in leased:
-                self.segment_pool.release(name)
-        if not reply.get("ok"):
-            raise DoocError(
-                f"task {task.name!r} failed in worker process: "
-                f"{reply.get('error')}")
-        for counter in ("bytes_copied", "opcache_hits", "opcache_misses"):
-            if reply.get(counter):
-                self._inc(counter, int(reply[counter]))
-        return True
 
     def process(self, ctx: FilterContext) -> None:
         ctx.write("to_lsched", DataBuffer({"op": "idle", "inst": ctx.instance}))
@@ -1847,14 +1753,6 @@ def default_worker_count() -> int:
     return max(2, min(8, _available_cpus()))
 
 
-#: process-wide engine instance counter.  Stamped into every segment-pool
-#: tag so two engines running concurrently in one process (the job-server
-#: pool) can never mint the same /dev/shm name: pool names are
-#: ``dooc-seg-<pid>-e<engine>r<run>-<seq>`` — unique per (process,
-#: engine, run, allocation).  ``itertools.count`` is atomic under the GIL.
-_ENGINE_IDS = itertools.count(1)
-
-
 class DOoCEngine:
     """Out-of-core, multi-node (threaded) execution of DOoC programs."""
 
@@ -1862,7 +1760,6 @@ class DOoCEngine:
         self,
         *,
         n_nodes: int = 1,
-        workers_per_node: int | None = None,
         workers: int | None = None,
         io_filters_per_node: int = 1,
         memory_budget_per_node: int = 256 * 2**20,
@@ -1881,58 +1778,33 @@ class DOoCEngine:
         protocol_checkers: bool | None = None,
         membership: MembershipConfig | bool | None = None,
         node_recovery: bool = True,
-        worker_plane: str = "thread",
-        data_plane: str | None = None,
         codec: str | None = None,
     ):
-        if workers is not None and workers_per_node is not None:
-            raise DoocError("pass either workers= or workers_per_node=, not both")
-        if workers_per_node is None:
+        if workers is None:
             # cpu_count-aware default: SpMV kernels release the GIL inside
             # scipy, so distinct ready tasks genuinely overlap; capped so a
             # many-core box doesn't drown a small run in idle threads.
-            workers_per_node = (workers if workers is not None
-                                else default_worker_count())
-        if n_nodes < 1 or workers_per_node < 1 or io_filters_per_node < 1:
+            workers = default_worker_count()
+        if n_nodes < 1 or workers < 1 or io_filters_per_node < 1:
             raise DoocError("n_nodes, workers and I/O filters must be >= 1")
         if task_max_attempts < 1:
             raise DoocError("task_max_attempts must be >= 1")
         self.n_nodes = n_nodes
-        self.workers_per_node = workers_per_node
+        self.workers_per_node = workers
         self.io_filters_per_node = io_filters_per_node
         self.memory_budget_per_node = memory_budget_per_node
-        #: data-plane mode, snapshotted ONCE here.  ``None`` samples
-        #: DOOC_DATA_PLANE; every filter receives this snapshot, so a
-        #: mid-run flip of the environment variable cannot produce a
-        #: mixed copying/zero-copy plane (it used to: the old code
-        #: re-read os.environ at every load/serve call site).
-        self.data_plane = resolve_data_plane(data_plane)
-        self._legacy_copies = self.data_plane == "legacy"
-        #: on-disk block codec, snapshotted ONCE here exactly like the
-        #: data plane: ``None`` samples DOOC_CODEC, and every descriptor
+        #: on-disk block codec, snapshotted ONCE here: ``None`` samples
+        #: DOOC_CODEC, and every descriptor
         #: the run spills is stamped with this snapshot — a mid-run flip
         #: of the environment variable cannot split readers from writers.
         self.codec = resolve_codec(codec)
-        if worker_plane not in ("thread", "process"):
-            raise DoocError(
-                f"unknown worker_plane {worker_plane!r}: "
-                "expected 'thread' or 'process'")
-        if worker_plane == "process" and self._legacy_copies:
-            # A legacy copy of a segment-targeted load would desynchronize
-            # the block's handle from its bytes; the combination has no
-            # use (legacy exists only for A/B benchmarks) so refuse it.
-            raise DoocError(
-                "worker_plane='process' requires the zero-copy data plane "
-                "(unset DOOC_DATA_PLANE / pass data_plane='zerocopy')")
-        self.worker_plane = worker_plane
         #: decoded-operand cache budget per node (0 disables; None = a
-        #: quarter of the memory budget).  The legacy data plane
-        #: (DOOC_DATA_PLANE=legacy) force-disables the cache.
+        #: quarter of the memory budget)
         if opcache_bytes is None:
             opcache_bytes = memory_budget_per_node // 4
         if opcache_bytes < 0:
             raise DoocError("opcache_bytes must be >= 0")
-        self.opcache_bytes = 0 if self._legacy_copies else int(opcache_bytes)
+        self.opcache_bytes = int(opcache_bytes)
         self.prefetch_depth = prefetch_depth
         self.gc_arrays = gc_arrays
         self.scheduler_reorder = scheduler_reorder
@@ -1965,7 +1837,6 @@ class DOoCEngine:
         #: None disables the watchdog entirely.
         self.watchdog_quiet_s = watchdog_quiet_s
         self.rng = RngTree(rng_seed)
-        self._engine_id = next(_ENGINE_IDS)
         self._scratch_finalizer = None
         if scratch_dir is None:
             # mkdtemp + a silent finalizer rather than TemporaryDirectory:
@@ -1984,23 +1855,9 @@ class DOoCEngine:
         self._homes: dict[str, int] = {}
         #: the last run's failure detector (None until a membership run)
         self._tracker: MembershipTracker | None = None
-        #: process-plane state (None on the thread plane): the shared
-        #: memory segment pool backing the last run's sealed blocks, and
-        #: the worker-process fleet.  Both are per-run; the pool of run N
-        #: is closed once run N+1 has rebuilt the stores (fetch() between
-        #: runs reads store views, which survive the segment unlink).
-        self._segment_pool: SegmentPool | None = None
-        self._proc_pool: ProcessWorkerPool | None = None
-        self._run_seq = 0  # disambiguates segment names across runs
 
     def cleanup(self) -> None:
         """Delete an engine-owned scratch directory now (no-op otherwise)."""
-        if self._proc_pool is not None:
-            self._proc_pool.shutdown()
-            self._proc_pool = None
-        if self._segment_pool is not None:
-            self._segment_pool.close()
-            self._segment_pool = None
         if self._scratch_finalizer is not None:
             self._scratch_finalizer()
 
@@ -2084,35 +1941,13 @@ class DOoCEngine:
                 continue
             write_array(scratch, self._descs[name], data)
 
-        # Process plane: per-run segment pool + worker-process fleet.
-        # Children are forked NOW, while this process is still
-        # single-threaded (the runtime's threads have not started).  The
-        # previous run's pool is closed only after the stores (whose
-        # views pin the old mappings) are rebuilt below.
-        old_pool = self._segment_pool
-        proc_pool: ProcessWorkerPool | None = None
-        if self.worker_plane == "process":
-            self._run_seq += 1
-            # e<engine>r<run>: two concurrent engines in one process get
-            # disjoint /dev/shm namespaces (a bare r<run> tag used to
-            # collide — both engines' first run minted dooc-seg-<pid>-r1-0).
-            self._segment_pool = SegmentPool(
-                tag=f"e{self._engine_id}r{self._run_seq}")
-            proc_pool = ProcessWorkerPool(
-                self.n_nodes, self.workers_per_node, self.opcache_bytes)
-            proc_pool.start()
-        else:
-            self._segment_pool = None
-        self._proc_pool = proc_pool
-
         # Per-node stores with the right registration per array.
         self.stores = {}
         directories = {}
         injectors: dict[int, FaultInjector | None] = {}
         inject = self.faults is not None and self.faults.enabled
         for node in range(self.n_nodes):
-            store = LocalStore(node, self.memory_budget_per_node,
-                               segment_pool=self._segment_pool)
+            store = LocalStore(node, self.memory_budget_per_node)
             consumed_here = {
                 a
                 for t in program.tasks
@@ -2138,11 +1973,6 @@ class DOoCEngine:
             injectors[node] = FaultInjector(
                 self.faults, node, metrics=store.metrics,
                 tracer=self.tracer) if inject else None
-        if old_pool is not None:
-            # Run N-1's segments: already unlinked in that run's finally;
-            # re-close to sweep mappings whose views died with the old
-            # stores just replaced above.
-            old_pool.close()
 
         membership_cfg = self._membership_config()
         tracker = (MembershipTracker(self.n_nodes, membership_cfg)
@@ -2216,27 +2046,11 @@ class DOoCEngine:
                 watchdog.stop()
             if lineage is not None:
                 lineage.close()
-            if proc_pool is not None:
-                proc_pool.shutdown()
-            if self._segment_pool is not None:
-                # Record any leaked leases for the audit below, then
-                # unlink everything: /dev/shm is clean after *every*
-                # run, success or not.  fetch() keeps working — the
-                # stores' sealed views outlive the unlink.
-                leaked_leases = self._segment_pool.lease_counts()
-                self._segment_pool.close()
-            else:
-                leaked_leases = {}
         self.tracer.instant(-1, "engine", "run", "phase", phase="end")
         if auditor is not None:
             # Every grant on every node must have been unwound by a release
             # or an abandonment; leaks are named ticket-by-ticket.
             auditor.assert_clean()
-            if leaked_leases:
-                detail = ", ".join(
-                    f"{n} x{c}" for n, c in sorted(leaked_leases.items()))
-                raise SegmentLeakError(
-                    f"segment leases leaked past the run: {detail}")
         gsched_filter = runtime.instances["gsched"][0].filter
         if getattr(gsched_filter, "cancelled", False):
             # The scheduler drained the run for the token (the flag, not
@@ -2321,7 +2135,7 @@ class DOoCEngine:
                 lambda node=node, store=store, directory=directory,
                 injector=injector: _StorageFilter(
                     node, n, store, directory, self._descs, self.tracer,
-                    injector=injector, legacy_copies=self._legacy_copies),
+                    injector=injector),
             )
             layout.add_filter(
                 f"io@{node}",
@@ -2329,9 +2143,7 @@ class DOoCEngine:
                 injector=injector: IOFilter(
                     scratch, node=node, tracer=self.tracer,
                     retry=self.io_retry, injector=injector,
-                    metrics=store.metrics,
-                    legacy_copies=self._legacy_copies,
-                    segment_pool=self._segment_pool),
+                    metrics=store.metrics),
                 instances=self.io_filters_per_node,
                 replicable=True,
             )
@@ -2353,9 +2165,7 @@ class DOoCEngine:
                 lambda node=node, store=store,
                 injector=injector: _WorkerFilter(
                     node, self._descs, self.tracer, injector=injector,
-                    metrics=store.metrics, opcache=store.opcache,
-                    plane=self._proc_pool,
-                    segment_pool=self._segment_pool),
+                    metrics=store.metrics, opcache=store.opcache),
                 instances=self.workers_per_node,
                 replicable=True,
             )

@@ -93,7 +93,7 @@ class RunCancelled(DoocError):
     """A run was cooperatively cancelled through its :class:`CancelToken`.
 
     Not a failure: the engine drained in-flight tasks, released every
-    ticket, spilled nothing torn, and left /dev/shm clean before raising.
+    ticket and spilled nothing torn before raising.
     ``reason`` carries the canceller's stated motive (user cancel,
     deadline, preemption) so callers can map the cancellation onto their
     own terminal states without string-matching the message.

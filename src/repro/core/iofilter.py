@@ -47,7 +47,6 @@ import numpy as np
 from repro.core.array import ArrayDesc
 from repro.core.codecs import checksum, get_codec
 from repro.core.errors import BlockMissingError, StorageError
-from repro.core.opcache import legacy_copy_plane
 from repro.datacutter.buffers import END_OF_STREAM, DataBuffer
 from repro.datacutter.filters import Filter, FilterContext
 from repro.faults import FaultInjector, InjectedIOError, RetryPolicy
@@ -284,53 +283,6 @@ def read_block(scratch: Path, desc: ArrayDesc, block: int,
     return data
 
 
-def read_block_into(scratch: Path, desc: ArrayDesc, block: int,
-                    out: np.ndarray,
-                    *, metrics: MetricsRegistry | None = None) -> np.ndarray:
-    """Load one block straight into ``out`` (no staging buffer).
-
-    The segment-pool load path: ``out`` is a writable view over a
-    shared-memory segment.  Raw blocks ``readinto`` it directly from the
-    file; compressed blocks decode straight into it — either way the
-    load *is* the segment fill, with no intermediate block buffer.
-    """
-    want = desc.block_nbytes(block)
-    if out.nbytes != want:
-        raise StorageError(
-            f"destination for block {block} of {desc.name!r} holds "
-            f"{out.nbytes} bytes, want {want}")
-    dest = memoryview(out).cast("B")
-    if _layout(scratch, desc) == "chunk":
-        blob = _read_chunk_blob(scratch, desc, block)
-        unpack_chunk_into(blob, dest, desc.itemsize,
-                          f"block {block} of {desc.name!r}")
-        _inc(metrics, "disk_bytes_read", len(blob))
-        _inc(metrics, "logical_bytes_read", want)
-        return out
-    path = array_path(scratch, desc.name)
-    offset = block_offset(desc, block)
-    try:
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            if offset >= size:
-                raise BlockMissingError(
-                    f"block {block} of {desc.name!r} was never written: "
-                    f"offset {offset} past end of {path} ({size} bytes)")
-            fh.seek(offset)
-            got = fh.readinto(dest)
-    except FileNotFoundError:
-        raise BlockMissingError(
-            f"block {block} of {desc.name!r} was never written: "
-            f"no backing file {path}") from None
-    if got != want:
-        raise StorageError(
-            f"short read of block {block} of {desc.name!r} from {path}: "
-            f"got {got} of {want} bytes (torn or truncated file)")
-    _inc(metrics, "disk_bytes_read", want)
-    _inc(metrics, "logical_bytes_read", want)
-    return out
-
-
 def write_array(scratch: Path, desc: ArrayDesc, data: np.ndarray,
                 *, metrics: MetricsRegistry | None = None) -> None:
     """Persist a whole array (used to seed initial data).
@@ -438,24 +390,13 @@ class IOFilter(Filter):
                  tracer: Tracer | None = None,
                  retry: RetryPolicy | None = None,
                  injector: FaultInjector | None = None,
-                 metrics: MetricsRegistry | None = None,
-                 legacy_copies: bool | None = None,
-                 segment_pool=None):
+                 metrics: MetricsRegistry | None = None):
         self.scratch = Path(scratch)
         self.node = node
         self.tracer = tracer if tracer is not None else Tracer(enabled=False)
         self.retry = retry if retry is not None else RetryPolicy()
         self.injector = injector
         self.metrics = metrics
-        #: legacy (copying) load path for A/B benchmarking.  The engine
-        #: threads its construction-time snapshot through here; sampling
-        #: the environment is only the fallback for direct construction,
-        #: so a mid-run DOOC_DATA_PLANE flip can't de-cohere the plane.
-        self.legacy_copies = (legacy_copy_plane() if legacy_copies is None
-                              else bool(legacy_copies))
-        #: repro.core.shm.SegmentPool when loads must land in shared
-        #: memory (process worker plane); None for plain heap loads
-        self.segment_pool = segment_pool
         self._jitter_rng = random.Random(node * 2654435761 + 17)
 
     def _inc(self, name: str, n: int = 1) -> None:
@@ -517,33 +458,11 @@ class IOFilter(Filter):
             token = cmd.get("token")
             start = tracer.now()
             if op == "load":
-                segment = cmd.get("segment") or ""
-                if segment and self.segment_pool is not None:
-                    # Destination segment pre-allocated by the store:
-                    # readinto (or decode into) it directly, then hand
-                    # back the sealed (frozen) view.  The legacy copying
-                    # plane never combines with segments (the engine
-                    # forbids it) — a copy here would desynchronize
-                    # handle and buffer.
-                    def _load_into(segment=segment):
-                        out = self.segment_pool.ndarray(
-                            segment, desc.block_length(block), desc.dtype)
-                        read_block_into(self.scratch, desc, block, out,
-                                        metrics=self.metrics)
-                        out.flags.writeable = False
-                        return out
-
-                    data, error = self._attempt(
-                        _load_into, op, desc, block, lane)
-                else:
-                    data, error = self._attempt(
-                        lambda: read_block(self.scratch, desc, block,
-                                           metrics=self.metrics),
-                        op, desc, block, lane)
+                data, error = self._attempt(
+                    lambda: read_block(self.scratch, desc, block,
+                                       metrics=self.metrics),
+                    op, desc, block, lane)
                 if error is None:
-                    if self.legacy_copies and not segment:
-                        self._inc("bytes_copied", int(data.nbytes))
-                        data = data.copy()
                     tracer.complete(self.node, lane, "io", "read", start,
                                     array=desc.name, block=block)
                     ctx.write("out", DataBuffer(

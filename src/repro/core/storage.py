@@ -54,9 +54,6 @@ class Effect:
     data: np.ndarray | None = None
     ticket: Ticket | None = None
     error: str = ""
-    #: for ``load`` effects under a segment pool: the pre-allocated
-    #: shared-memory segment the I/O filter must read the bytes into
-    segment: str = ""
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         if self.ticket is not None:
@@ -79,9 +76,6 @@ class Ticket:
     #: cache keys derived from this view stay valid exactly as long as
     #: the backing buffer does (see repro.core.opcache)
     generation: int = 0
-    #: under a segment pool: the picklable BlockHandle describing this
-    #: grant's span for cross-process dispatch (None on plain buffers)
-    handle: Any = None
 
 
 @dataclass
@@ -151,8 +145,6 @@ class _BlockState:
     #: bumped whenever the in-memory buffer is reclaimed; decoded-operand
     #: cache entries are keyed on it so they can never outlive the bytes
     generation: int = 0
-    #: name of the shared-memory segment backing ``data`` (pool mode only)
-    segment: str | None = None
 
     @property
     def nbytes(self) -> int:
@@ -187,18 +179,11 @@ class _BlockState:
 class LocalStore:
     """Storage layer of one node. See module docstring for the contract."""
 
-    def __init__(self, node: int, memory_budget: int, *,
-                 segment_pool: Any = None):
+    def __init__(self, node: int, memory_budget: int):
         if memory_budget <= 0:
             raise StorageError("memory budget must be positive")
         self.node = node
         self.budget = int(memory_budget)
-        #: Optional :class:`repro.core.shm.SegmentPool`.  When set, every
-        #: block buffer is carved from a named shared-memory segment and
-        #: grants carry a picklable :class:`~repro.core.shm.BlockHandle`,
-        #: so the process worker plane can map the same bytes.  ``None``
-        #: (thread plane) keeps plain heap ndarrays.
-        self.segment_pool = segment_pool
         self.in_use = 0
         self.arrays: dict[str, ArrayDesc] = {}
         self._remote_arrays: set[str] = set()
@@ -466,11 +451,6 @@ class LocalStore:
         if st.status != _LOADING:
             raise StorageError(f"unexpected load failure for {array}[{block}]")
         self.in_use -= st.nbytes  # release the reservation made at _begin_load
-        if st.segment is not None:
-            # The destination segment pre-allocated at _begin_load holds
-            # nothing readable; return it before anyone can lease it.
-            self.segment_pool.free(st.segment)
-            st.segment = None
         st.status = _ABSENT
         self.metrics.inc("load_failures")
         effects = self._fail_waiters(st, error)
@@ -778,7 +758,6 @@ class LocalStore:
         view.flags.writeable = False
         ticket.data = view
         ticket.generation = st.generation
-        ticket.handle = self._make_handle(st, ticket)
         ticket.granted = True
         st.readers += 1
         if self.auditor is not None:
@@ -790,26 +769,10 @@ class LocalStore:
             self._allocate_buffer(st)
             st.status = _RESIDENT
         ticket.data = st.data[ticket.interval.local_slice(st.desc)]
-        ticket.handle = self._make_handle(st, ticket)
         ticket.granted = True
         if self.auditor is not None:
             self.auditor.note_granted(self.node, ticket)
         return [Effect("grant_write", st.desc.name, st.block, ticket=ticket)]
-
-    def _make_handle(self, st: _BlockState, ticket: Ticket) -> Any:
-        """A picklable descriptor of the grant's span (pool mode only)."""
-        if self.segment_pool is None or st.segment is None:
-            return None
-        from repro.core.shm import BlockHandle
-
-        sl = ticket.interval.local_slice(st.desc)
-        return BlockHandle(
-            segment=st.segment,
-            offset=sl.start * st.desc.itemsize,
-            count=sl.stop - sl.start,
-            dtype=st.desc.dtype,
-            generation=st.generation,
-        )
 
     def _wake_readers(self, st: _BlockState) -> list[Effect]:
         effects: list[Effect] = []
@@ -825,15 +788,7 @@ class LocalStore:
     # -- memory management -----------------------------------------------------------
 
     def _allocate_buffer(self, st: _BlockState) -> None:
-        if self.segment_pool is not None:
-            # Segment-backed write buffer: fresh shm pages arrive zeroed,
-            # so semantics match np.zeros without touching every page.
-            st.segment = self.segment_pool.allocate(st.nbytes)
-            st.data = self.segment_pool.ndarray(
-                st.segment, st.desc.block_length(st.block), st.desc.dtype)
-        else:
-            st.data = np.zeros(st.desc.block_length(st.block),
-                               dtype=st.desc.dtype)
+        st.data = np.zeros(st.desc.block_length(st.block), dtype=st.desc.dtype)
         self.in_use += st.nbytes
 
     def _install(self, st: _BlockState, data: np.ndarray) -> None:
@@ -845,28 +800,11 @@ class LocalStore:
             raise StorageError(
                 f"driver delivered shape {data.shape} for block of length {expected}"
             )
-        if self.segment_pool is not None:
-            # Every sealed buffer must live in a named segment so grants
-            # can carry handles.  Loads arrive already in the segment
-            # pre-allocated by _begin_load; remote fetches arrive as wire
-            # bytes and are staged into a fresh segment here (the copy
-            # models the network transfer, not data-plane overhead).
-            if st.segment is None:
-                st.segment = self.segment_pool.allocate(st.nbytes)
-            view = self.segment_pool.ndarray(st.segment, expected,
-                                             st.desc.dtype)
-            src = np.asarray(data)
-            if (src.__array_interface__["data"][0]
-                    != view.__array_interface__["data"][0]):
-                view[:] = src
-            view.flags.writeable = False
-            st.data = view
-        else:
-            st.data = np.ascontiguousarray(data, dtype=st.desc.dtype)
-            # Loaded/fetched blocks are sealed: freeze the buffer so every
-            # view handed out of it is provably immutable (no-op when the
-            # driver delivered a zero-copy read-only view already).
-            st.data.flags.writeable = False
+        st.data = np.ascontiguousarray(data, dtype=st.desc.dtype)
+        # Loaded/fetched blocks are sealed: freeze the buffer so every
+        # view handed out of it is provably immutable (no-op when the
+        # driver delivered a zero-copy read-only view already).
+        st.data.flags.writeable = False
         st.status = _RESIDENT
         st.sealed = True
         st.written = [st.desc.block_bounds(st.block)]
@@ -875,11 +813,6 @@ class LocalStore:
         assert st.data is not None
         self.in_use -= st.nbytes
         st.data = None
-        if st.segment is not None:
-            # Unlinks now or when the last worker lease drains; either way
-            # no new grant can reach the old bytes (generation bump below).
-            self.segment_pool.free(st.segment)
-            st.segment = None
         # The buffer is gone: bump the seal generation so cache keys minted
         # from the old grants can never match again, and proactively drop
         # any decoded operands that were built over those bytes.
@@ -922,13 +855,7 @@ class LocalStore:
     def _begin_load(self, st: _BlockState) -> list[Effect]:
         self.in_use += st.nbytes  # reserve; the buffer arrives via on_loaded
         st.status = _LOADING
-        if self.segment_pool is not None and st.segment is None:
-            # Pre-allocate the destination segment so the I/O filter can
-            # read the file bytes straight into shared memory (no staging
-            # buffer, no copy — the load IS the segment fill).
-            st.segment = self.segment_pool.allocate(st.nbytes)
-        return [Effect("load", st.desc.name, st.block,
-                       segment=st.segment or "")]
+        return [Effect("load", st.desc.name, st.block)]
 
     def _begin_fetch(self, st: _BlockState) -> list[Effect]:
         self.in_use += st.nbytes  # reserve

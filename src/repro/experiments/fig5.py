@@ -80,7 +80,7 @@ def run(*, iterations: int = 3, seed: int = 3,
     a_bytes = max(len(serialize_csr(b)) for b in blocks.values())
     with TemporaryDirectory() as tmp:
         eng = DOoCEngine(
-            n_nodes=k, workers_per_node=1,
+            n_nodes=k, workers=1,
             memory_budget_per_node=int(a_bytes * 1.5) + 3000,
             scratch_dir=scratch_dir or tmp,
             trace=True,

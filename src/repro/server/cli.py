@@ -75,7 +75,7 @@ def serve_main(argv: list[str]) -> int:
 
     if not args.no_sweep:
         report = sweep()
-        if report["segments"] or report["scratch_dirs"]:
+        if report["scratch_dirs"]:
             print(format_report(report), flush=True)
 
     faults = None
@@ -184,14 +184,12 @@ def cancel_main(argv: list[str]) -> int:
 def sweep_main(argv: list[str]) -> int:
     p = argparse.ArgumentParser(
         prog="python -m repro sweep",
-        description="Reclaim shm segments / scratch dirs of dead runs.")
+        description="Reclaim scratch dirs of dead runs.")
     p.add_argument("--dry-run", action="store_true")
-    p.add_argument("--shm-dir", default="/dev/shm")
     p.add_argument("--tmp-dir", default=None)
     args = p.parse_args(argv)
 
     from repro.server.sweep import format_report, sweep
-    report = sweep(shm_dir=args.shm_dir, tmp_dir=args.tmp_dir,
-                   dry_run=args.dry_run)
+    report = sweep(tmp_dir=args.tmp_dir, dry_run=args.dry_run)
     print(format_report(report, dry_run=args.dry_run))
     return 1 if report["errors"] else 0

@@ -1,16 +1,13 @@
 """Reclaim resources orphaned by dead DOoC processes.
 
-A SIGKILLed engine (or job server) can leave two kinds of litter behind,
-both stamped with their owner's pid precisely so this sweeper can tell
-"orphan" from "someone else's live run":
-
-* ``/dev/shm/dooc-seg-<pid>-<tag>-<seq>`` — shared-memory segments from
-  the multi-process worker plane (:mod:`repro.core.segments`);
-* ``<tmpdir>/dooc-<pid>-*`` — engine scratch directories and job-server
-  work dirs (``tempfile.mkdtemp(prefix=f"dooc-{os.getpid()}-")``).
+A SIGKILLed engine (or job server) can leave its scratch directories
+behind: ``<tmpdir>/dooc-<pid>-*``, the engine scratch directories and
+job-server work dirs (``tempfile.mkdtemp(prefix=f"dooc-{os.getpid()}-")``).
+Each is stamped with its owner's pid precisely so this sweeper can tell
+"orphan" from "someone else's live run".
 
 Only entries whose embedded pid is *dead* are reclaimed; anything owned
-by a live process — or not matching the pid-stamped patterns at all — is
+by a live process — or not matching the pid-stamped pattern at all — is
 left alone.  Runs at job-server start and on demand via ``repro sweep``.
 """
 
@@ -24,7 +21,6 @@ from pathlib import Path
 
 __all__ = ["sweep", "pid_alive", "format_report"]
 
-_SEG_RE = re.compile(r"^dooc-seg-(\d+)-")
 _DIR_RE = re.compile(r"^dooc-(\d+)-")
 
 
@@ -41,46 +37,29 @@ def pid_alive(pid: int) -> bool:
     return True
 
 
-def _owner_pid(name: str, pattern: re.Pattern) -> int | None:
-    m = pattern.match(name)
+def _owner_pid(name: str) -> int | None:
+    m = _DIR_RE.match(name)
     return int(m.group(1)) if m else None
 
 
-def sweep(shm_dir: str | Path = "/dev/shm",
-          tmp_dir: str | Path | None = None, *,
+def sweep(tmp_dir: str | Path | None = None, *,
           dry_run: bool = False) -> dict:
     """One reclamation pass; returns a structured report.
 
     ``dry_run=True`` reports what *would* be reclaimed without touching
-    anything.  Errors on individual entries (e.g. a segment the owner
-    unlinks mid-sweep) are recorded, not raised — the sweep is a
+    anything.  Errors on individual entries (e.g. a directory the owner
+    removes mid-sweep) are recorded, not raised — the sweep is a
     best-effort janitor, never a crash source.
     """
-    shm_dir = Path(shm_dir)
     tmp_dir = Path(tmp_dir) if tmp_dir is not None else \
         Path(tempfile.gettempdir())
-    report = {"segments": [], "scratch_dirs": [], "kept": [], "errors": []}
-
-    if shm_dir.is_dir():
-        for entry in sorted(shm_dir.iterdir()):
-            pid = _owner_pid(entry.name, _SEG_RE)
-            if pid is None:
-                continue
-            if pid_alive(pid):
-                report["kept"].append(str(entry))
-                continue
-            report["segments"].append(str(entry))
-            if not dry_run:
-                try:
-                    entry.unlink()
-                except OSError as exc:
-                    report["errors"].append(f"{entry}: {exc}")
+    report = {"scratch_dirs": [], "kept": [], "errors": []}
 
     if tmp_dir.is_dir():
         for entry in sorted(tmp_dir.iterdir()):
             if not entry.is_dir():
                 continue
-            pid = _owner_pid(entry.name, _DIR_RE)
+            pid = _owner_pid(entry.name)
             if pid is None:
                 continue
             if pid_alive(pid):
@@ -98,11 +77,10 @@ def sweep(shm_dir: str | Path = "/dev/shm",
 def format_report(report: dict, *, dry_run: bool = False) -> str:
     verb = "would reclaim" if dry_run else "reclaimed"
     lines = [
-        f"{verb} {len(report['segments'])} shm segment(s), "
-        f"{len(report['scratch_dirs'])} scratch dir(s); "
+        f"{verb} {len(report['scratch_dirs'])} scratch dir(s); "
         f"kept {len(report['kept'])} live-owner entr(ies)"
     ]
-    for path in report["segments"] + report["scratch_dirs"]:
+    for path in report["scratch_dirs"]:
         lines.append(f"  {verb}: {path}")
     for err in report["errors"]:
         lines.append(f"  error: {err}")

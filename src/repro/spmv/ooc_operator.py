@@ -34,7 +34,6 @@ class OutOfCoreMatrix:
         blocks: dict[tuple[int, int], CSRBlock],
         *,
         n_nodes: int = 1,
-        workers_per_node: int | None = None,
         workers: int | None = None,
         memory_budget_per_node: int = 256 * 2**20,
         scratch_dir: str | Path | None = None,
@@ -49,11 +48,10 @@ class OutOfCoreMatrix:
         self.k = k = self.partition.k
         self.n = self.partition.n
         self.owner = owner or column_owner(k, n_nodes)
-        # Extra engine knobs (fault plans, watchdog, worker plane) for
+        # Extra engine knobs (fault plans, watchdog, codec) for
         # callers like the job server; they override the named defaults.
         eng_kwargs = dict(
             n_nodes=n_nodes,
-            workers_per_node=workers_per_node,
             workers=workers,
             memory_budget_per_node=memory_budget_per_node,
             scratch_dir=scratch_dir,

@@ -8,6 +8,7 @@ import pytest
 from repro.bench import (
     SCHEMA,
     Workload,
+    bit_identical,
     check_regression,
     load_report,
     pinned_workloads,
@@ -61,13 +62,10 @@ class TestRunWorkload:
     def test_pinned_matrix_is_stable(self):
         for quick in (True, False):
             names = [w.name for w in pinned_workloads(quick=quick)]
-            assert names == ["in_core", "in_core_process", "out_of_core",
-                             "faulty"]
+            assert names == ["in_core", "out_of_core", "faulty"]
         quick = {w.name: w for w in pinned_workloads(quick=True)}
         assert quick["faulty"].fault_seed == 0
         assert quick["out_of_core"].n_nodes == 2
-        assert quick["in_core_process"].worker_plane == "process"
-        assert quick["in_core"].worker_plane == "thread"
         # Pinned = calling twice yields identical configs.
         assert ([w.config() for w in pinned_workloads(quick=True)]
                 == [w.config() for w in pinned_workloads(quick=True)])
@@ -79,7 +77,6 @@ def report_with(name="out_of_core", wall=1.0, copied=0, bit_identical=True,
         "schema": SCHEMA,
         "tag": "t",
         "mode": mode,
-        "data_plane": "zerocopy",
         "workloads": {
             name: {
                 "wall_seconds": wall,
@@ -90,6 +87,46 @@ def report_with(name="out_of_core", wall=1.0, copied=0, bit_identical=True,
         "totals": {"wall_seconds": wall, "tasks": 1,
                    "tasks_per_second": 1.0, "bytes_copied": copied},
     }
+
+
+class TestBitIdenticalVerdict:
+    """Bit-identity is evidence only on finite, non-trivial values."""
+
+    def test_equal_finite_nonzero_arrays_pass(self):
+        x = np.array([1.5, 0.0, -2.0])
+        assert bit_identical(x, x.copy()) is True
+
+    def test_unequal_arrays_fail(self):
+        assert not bit_identical(np.array([1.0, 2.0]), np.array([1.0, 3.0]))
+
+    @pytest.mark.parametrize("values", [
+        [0.0, 0.0, 0.0],
+        [1.0, np.inf, 2.0],
+        [-np.inf, -np.inf],
+        [],
+    ], ids=["all-zero", "inf", "neg-inf", "empty"])
+    def test_trivial_equal_pairs_fail(self, values):
+        x = np.array(values, dtype=np.float64)
+        assert np.array_equal(x, x.copy())  # what the old verdict checked
+        assert bit_identical(x, x.copy()) is False
+
+    def test_check_regression_fails_a_trivial_workload_verdict(self):
+        zeros = np.zeros(8)
+        failures = check_regression(
+            report_with(bit_identical=bit_identical(zeros, zeros)),
+            report_with())
+        assert any("bit-identical" in f for f in failures)
+
+    @pytest.mark.parametrize("verdict", ["sync_matches_reference",
+                                         "incremental_bit_identical"])
+    def test_check_regression_fails_a_trivial_convergence_verdict(
+            self, verdict):
+        infs = np.full(4, np.inf)
+        current = {"schema": SCHEMA, "mode": "quick", "workloads": {},
+                   "convergence": {"verdicts": {
+                       verdict: bit_identical(infs, infs)}}}
+        failures = check_regression(current, report_with())
+        assert any(verdict in f for f in failures)
 
 
 class TestCheckRegression:

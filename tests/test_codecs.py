@@ -38,7 +38,6 @@ from repro.core.iofilter import (
     pack_chunk,
     read_array,
     read_block,
-    read_block_into,
     write_array,
     write_block,
 )
@@ -143,9 +142,7 @@ class TestRoundTrips:
         write_array(tmp_path, d, data)
         assert chunk_dir(tmp_path, "a").is_dir()
         np.testing.assert_array_equal(read_array(tmp_path, d), data)
-        out = np.empty(20)
-        read_block_into(tmp_path, d, 2, out)
-        np.testing.assert_array_equal(out, data[80:])
+        np.testing.assert_array_equal(read_block(tmp_path, d, 2), data[80:])
 
     def test_compressed_blocks_readable_without_desc_codec(self, tmp_path):
         # Readers self-describe from the chunk header: a desc that lost
@@ -224,12 +221,11 @@ class TestCorruption:
     def test_decode_into_same_taxonomy(self, tmp_path):
         d, p = self._seed(tmp_path)
         p.write_bytes(p.read_bytes()[:-7])
-        out = np.empty(40)
         with pytest.raises(StorageError, match="truncated"):
-            read_block_into(tmp_path, d, 0, out)
+            read_block(tmp_path, d, 0)
         chunk_path(tmp_path, "a", 1).unlink()
         with pytest.raises(BlockMissingError):
-            read_block_into(tmp_path, d, 1, out)
+            read_block(tmp_path, d, 1)
 
 
 def _spmv_like_program(seed=3):
@@ -260,7 +256,7 @@ class TestEngineEndToEnd:
         prog_raw, x = _spmv_like_program()
         eng = DOoCEngine(n_nodes=1, scratch_dir=tmp_path / "raw",
                          memory_budget_per_node=64 * 2**10,
-                         data_plane="zerocopy", codec="raw")
+                         codec="raw")
         try:
             report_raw = eng.run(prog_raw, timeout=60)
             want = eng.fetch("a6")
@@ -272,7 +268,7 @@ class TestEngineEndToEnd:
         prog_c, _ = _spmv_like_program()
         eng = DOoCEngine(n_nodes=1, scratch_dir=tmp_path / codec,
                          memory_budget_per_node=64 * 2**10,
-                         data_plane="zerocopy", codec=codec)
+                         codec=codec)
         try:
             report = eng.run(prog_c, timeout=60)
             got = eng.fetch("a6")
@@ -280,8 +276,8 @@ class TestEngineEndToEnd:
             eng.cleanup()
         assert np.array_equal(got, want)  # bit-identical, not allclose
         metrics = report.metrics
-        # Decode lands straight in the pooled segment: the only copies are
-        # the engine's deterministic gather/scatter ones, identical to raw.
+        # A codec adds no counted copies: the only ones are the engine's
+        # deterministic gather/scatter ones, identical to raw.
         assert sum(m.get("bytes_copied", 0)
                    for m in metrics.values()) == copies_raw
         disk = sum(m.get("disk_bytes_read", 0) for m in metrics.values())
@@ -293,31 +289,13 @@ class TestEngineEndToEnd:
         prog, _ = _spmv_like_program()
         eng = DOoCEngine(n_nodes=1, scratch_dir=tmp_path,
                          memory_budget_per_node=64 * 2**10,
-                         data_plane="zerocopy", codec="zlib")
+                         codec="zlib")
         try:
             eng.run(prog, timeout=60)
         finally:
             eng.cleanup()
         dirs = list(tmp_path.glob("**/*.arrc"))
         assert dirs, "compressed run should have produced chunk directories"
-
-    def test_process_plane_decodes_into_segments(self, tmp_path):
-        prog, _ = _spmv_like_program()
-        eng = DOoCEngine(n_nodes=1, scratch_dir=tmp_path,
-                         memory_budget_per_node=64 * 2**10,
-                         worker_plane="process",
-                         data_plane="zerocopy", codec="zlib")
-        try:
-            report = eng.run(prog, timeout=120)
-            got = eng.fetch("a6")
-        finally:
-            eng.cleanup()
-        assert got.shape == (1024,)
-        disk = sum(m.get("disk_bytes_read", 0)
-                   for m in report.metrics.values())
-        logical = sum(m.get("logical_bytes_read", 0)
-                      for m in report.metrics.values())
-        assert 0 < disk < logical
 
 
 class TestCheckpointCodecs:

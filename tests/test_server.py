@@ -367,9 +367,7 @@ class TestSweeper:
         assert not pid_alive(-1)
 
     def test_sweep_reclaims_only_dead_owners(self, tmp_path):
-        shm = tmp_path / "shm"
         tmp = tmp_path / "tmp"
-        shm.mkdir()
         tmp.mkdir()
         # dead-owner litter (pid 2**22-ish is unused on CI runners; use a
         # spawned-and-exited child to be certain)
@@ -381,25 +379,18 @@ class TestSweeper:
         dead = 4194000
         while pid_alive(dead):
             dead -= 1
-        (shm / f"dooc-seg-{dead}-e1r1-0").write_bytes(b"x")
-        (shm / f"dooc-seg-{os.getpid()}-e1r1-0").write_bytes(b"x")
-        (shm / "unrelated").write_bytes(b"x")
         (tmp / f"dooc-{dead}-abc").mkdir()
         (tmp / f"dooc-{os.getpid()}-abc").mkdir()
         (tmp / "keepme").mkdir()
 
-        report = sweep(shm_dir=shm, tmp_dir=tmp, dry_run=True)
-        assert len(report["segments"]) == 1
+        report = sweep(tmp_dir=tmp, dry_run=True)
         assert len(report["scratch_dirs"]) == 1
-        assert (shm / f"dooc-seg-{dead}-e1r1-0").exists()  # dry run
+        assert (tmp / f"dooc-{dead}-abc").is_dir()  # dry run
 
-        report = sweep(shm_dir=shm, tmp_dir=tmp)
-        assert not (shm / f"dooc-seg-{dead}-e1r1-0").exists()
+        report = sweep(tmp_dir=tmp)
         assert not (tmp / f"dooc-{dead}-abc").exists()
         # live-owner and unrelated entries untouched
-        assert (shm / f"dooc-seg-{os.getpid()}-e1r1-0").exists()
         assert (tmp / f"dooc-{os.getpid()}-abc").is_dir()
-        assert (shm / "unrelated").exists()
         assert (tmp / "keepme").is_dir()
 
 

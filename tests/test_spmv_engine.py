@@ -33,7 +33,7 @@ class TestCorrectness:
         global_m, p, blocks, x0 = make_problem()
         result = build_iterated_spmv(
             blocks, p.split_vector(x0), iterations=3, n_nodes=1, policy=policy)
-        eng = DOoCEngine(n_nodes=1, workers_per_node=2, scratch_dir=tmp_path)
+        eng = DOoCEngine(n_nodes=1, workers=2, scratch_dir=tmp_path)
         eng.run(result.program, timeout=120)
         got = result.fetch_final(eng)
         want = iterated_spmv_reference(global_m, x0, 3)
@@ -44,7 +44,7 @@ class TestCorrectness:
         global_m, p, blocks, x0 = make_problem(n=90, k=3, seed=1)
         result = build_iterated_spmv(
             blocks, p.split_vector(x0), iterations=2, n_nodes=3, policy=policy)
-        eng = DOoCEngine(n_nodes=3, workers_per_node=2, scratch_dir=tmp_path)
+        eng = DOoCEngine(n_nodes=3, workers=2, scratch_dir=tmp_path)
         report = eng.run(result.program, timeout=180)
         got = result.fetch_final(eng)
         want = iterated_spmv_reference(global_m, x0, 2)
@@ -81,7 +81,7 @@ class TestFig5LoadCounts:
         # Budget: one sub-matrix + generous room for the (small) vectors.
         vec_bytes = 8 * p.n * (k + 2) * (iterations + 1)
         eng = DOoCEngine(
-            n_nodes=1, workers_per_node=1,
+            n_nodes=1, workers=1,
             memory_budget_per_node=int(a_bytes * 1.5) + vec_bytes,
             scratch_dir=tmp_path,
         )
@@ -119,7 +119,7 @@ class TestFig5LoadCounts:
         from repro.spmv.csrfile import serialize_csr
         a_bytes = max(len(serialize_csr(b)) for b in blocks.values())
         eng = DOoCEngine(
-            n_nodes=k, workers_per_node=1,
+            n_nodes=k, workers=1,
             memory_budget_per_node=int(a_bytes * 1.5) + 3000,
             scratch_dir=tmp_path,
         )

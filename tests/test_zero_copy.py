@@ -1,11 +1,9 @@
-"""Zero-copy data-plane invariants: frozen views, generations, planes.
+"""Zero-copy data-plane invariants: frozen views, generations, copies.
 
 The zero-copy plane is only sound because of a chain of invariants —
 sealed buffers are frozen, read grants hand out non-writable views,
 seal generations fence the decoded-operand cache, and the ticket
-auditor rejects any writable read view.  Each link is pinned here, plus
-the ``DOOC_DATA_PLANE=legacy`` escape hatch that restores the old
-copying behavior for A/B benchmarking.
+auditor rejects any writable read view.  Each link is pinned here.
 """
 
 import numpy as np
@@ -13,12 +11,13 @@ import pytest
 
 from repro.analysis import TicketAuditor, WritableReadViewError
 from repro.core.array import ArrayDesc
-from repro.core.engine import DOoCEngine, default_worker_count
-from repro.core.errors import DoocError
+from repro.core.engine import DOoCEngine, Program, default_worker_count
+from repro.core.errors import DoocError, TaskFailedError
 from repro.core.interval import Interval, whole_array, whole_block
 from repro.core.iofilter import read_block, write_block
-from repro.core.opcache import DATA_PLANE_ENV, DecodedOperandCache
+from repro.core.opcache import DecodedOperandCache
 from repro.core.storage import LocalStore, Permission, Ticket
+from repro.datacutter.errors import FilterError
 from repro.spmv.generator import choose_gap_parameter, gap_uniform_csr
 from repro.spmv.partition import GridPartition
 from repro.spmv.program import build_iterated_spmv
@@ -183,13 +182,9 @@ class TestWorkerPoolConfig:
         finally:
             eng.cleanup()
 
-    def test_both_spellings_rejected(self):
-        with pytest.raises(DoocError):
-            DOoCEngine(n_nodes=1, workers=2, workers_per_node=2)
-
     def test_zero_workers_rejected(self):
         with pytest.raises(DoocError):
-            DOoCEngine(n_nodes=1, workers_per_node=0)
+            DOoCEngine(n_nodes=1, workers=0)
 
     def test_negative_opcache_budget_rejected(self):
         with pytest.raises(DoocError):
@@ -205,13 +200,13 @@ def make_problem(n=64, k=2, seed=7, density_per_row=6.0):
 
 
 class TestDataPlanesEndToEnd:
-    """The same two-node SpMV under both planes: copies vs no copies."""
+    """A two-node SpMV end to end: no copies, decodes cached."""
 
     def _run(self, tmp_path, iterations=3):
         global_m, p, blocks, x0 = make_problem()
         result = build_iterated_spmv(
             blocks, p.split_vector(x0), iterations=iterations, n_nodes=2)
-        eng = DOoCEngine(n_nodes=2, workers_per_node=2, scratch_dir=tmp_path)
+        eng = DOoCEngine(n_nodes=2, workers=2, scratch_dir=tmp_path)
         try:
             report = eng.run(result.program, timeout=120)
             got = result.fetch_final(eng)
@@ -234,13 +229,28 @@ class TestDataPlanesEndToEnd:
         # Each sub-matrix is decoded once, then hit on every later task.
         assert self._total(report, "opcache_hits") > 0
 
-    def test_legacy_plane_restores_copies_and_disables_cache(
-            self, tmp_path, monkeypatch):
-        monkeypatch.setenv(DATA_PLANE_ENV, "legacy")
-        report = self._run(tmp_path)
-        assert self._total(report, "bytes_copied") > 0
-        assert self._total(report, "opcache_hits") == 0
-        assert self._total(report, "opcache_misses") == 0
+
+def write_input_fn(ins, outs, meta):
+    ins["x"][:] = 0.0  # must raise: sealed buffers are frozen
+
+
+def test_task_writing_an_input_fails_the_run(tmp_path):
+    """A task body that writes its read grant fails the run by name, and
+    the failed attempts still unwind every ticket."""
+    prog = Program("frozen", default_block_elems=64)
+    prog.initial_array("x", np.ones(64))
+    prog.array("y", 64)
+    prog.add_task("bad", write_input_fn, ["x"], ["y"])
+    eng = DOoCEngine(n_nodes=1, workers=1, scratch_dir=tmp_path,
+                     protocol_checkers=True)
+    try:
+        with pytest.raises(FilterError, match="read-only") as failed:
+            eng.run(prog, timeout=60)
+        assert isinstance(failed.value.cause, TaskFailedError)
+        for store in eng.stores.values():
+            store.auditor.assert_clean()
+    finally:
+        eng.cleanup()
 
 
 class TestOpcacheConcurrentPut:
