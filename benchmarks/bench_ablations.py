@@ -123,10 +123,8 @@ def bench_ablate_scheduler_reordering(once, tmp_path):
             scheduler_reorder=reorder,
         )
         report = eng.run(result.program, timeout=300)
-        return sum(
-            c for s in report.store_stats.values()
-            for a, c in s.loads_by_array.items() if a.startswith("A_")
-        )
+        return sum(c for a, c in report.loads_by_array().items()
+                   if a.startswith("A_"))
 
     def both():
         return run(True), run(False)

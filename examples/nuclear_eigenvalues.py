@@ -4,8 +4,8 @@
 1. Counts the exact M-scheme basis dimensions of the paper's 10B cases
    (Table I) from first principles.
 2. Builds a laptop-scale synthetic symmetric "Hamiltonian", stores it as
-   binary-CSR sub-matrix files, and finds its lowest eigenvalues with the
-   out-of-core Lanczos solver whose SpMV runs through DOoC.
+   binary-CSR sub-matrix files, and finds its lowest eigenvalues with
+   Lanczos whose SpMV runs out-of-core through an ``OutOfCoreMatrix``.
 
     python examples/nuclear_eigenvalues.py [--n 600] [--eigenvalues 3]
 """
@@ -16,8 +16,9 @@ import tempfile
 import numpy as np
 
 from repro.ci.cases import TABLE1_CASES
-from repro.lanczos import OutOfCoreLanczos
+from repro.lanczos import lanczos
 from repro.spmv.generator import symmetric_test_matrix
+from repro.spmv.ooc_operator import OutOfCoreMatrix
 from repro.spmv.partition import GridPartition
 
 
@@ -42,14 +43,16 @@ def main() -> None:
     exact = np.linalg.eigvalsh(hamiltonian.to_dense())[: args.eigenvalues]
 
     with tempfile.TemporaryDirectory() as scratch:
-        solver = OutOfCoreLanczos(blocks, n_nodes=3, scratch_dir=scratch)
-        result = solver.solve(
-            k=min(args.n, 80), n_eigenvalues=args.eigenvalues,
-            rng=np.random.default_rng(1), tol=1e-9)
+        op = OutOfCoreMatrix(blocks, n_nodes=3, workers=2,
+                             scratch_dir=scratch)
+        result = lanczos(
+            op.matvec, op.n, k=min(args.n, 80),
+            n_eigenvalues=args.eigenvalues, rng=np.random.default_rng(1),
+            tol=1e-9)
 
     print(f"  Lanczos iterations: {result.iterations} "
           f"(each SpMV ran out-of-core on 3 DOoC nodes; "
-          f"{solver.matvec_count} distributed SpMVs)")
+          f"{op.matvec_count} distributed SpMVs)")
     for i, (got, want) in enumerate(zip(result.eigenvalues, exact, strict=True)):
         print(f"  E_{i}: {got:+.8f}   (dense reference {want:+.8f}, "
               f"residual bound {result.residuals[i]:.1e})")

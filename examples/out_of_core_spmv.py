@@ -74,10 +74,8 @@ def main() -> None:
             report.save_chrome_trace(args.trace)
             print(f"[{policy:11s}] trace: {len(report.trace_events)} events "
                   f"-> {args.trace}")
-        matrix_loads = sum(
-            c for s in report.store_stats.values()
-            for a, c in s.loads_by_array.items() if a.startswith("A_")
-        )
+        matrix_loads = sum(c for a, c in report.loads_by_array().items()
+                           if a.startswith("A_"))
         print(f"[{policy:11s}] verified; matrix loads: {matrix_loads} "
               f"(naive plan: {k * loads_regular_plan(k, args.iterations)}, "
               f"back-and-forth: "

@@ -48,10 +48,11 @@ def main() -> None:
     np.testing.assert_allclose(z, 3.0 * x + 1.0)
     print("result verified: z = 3x + 1 on", n, "elements")
     print("task placement:", report.assignment)
-    for node, stats in report.store_stats.items():
+    for node, m in report.metrics.items():
         print(
-            f"node {node}: loads={stats.loads} spills={stats.spills} "
-            f"drops={stats.drops} remote_fetches={stats.remote_fetches}"
+            f"node {node}: loads={m.get('loads', 0)} "
+            f"spills={m.get('spills', 0)} drops={m.get('drops', 0)} "
+            f"remote_fetches={m.get('remote_fetches', 0)}"
         )
     print(f"wall time: {report.wall_seconds:.3f} s")
 

@@ -49,8 +49,8 @@ AMBIENT_NAMES = frozenset({
 
 
 def module_name_for_path(path: str) -> str:
-    """Dotted module name for a file path (``src/repro/core/shm.py`` ->
-    ``repro.core.shm``); falls back to the dotted path for files outside a
+    """Dotted module name for a file path (``src/repro/core/codecs.py`` ->
+    ``repro.core.codecs``); falls back to the dotted path for files outside a
     ``src`` root (fixtures, tests)."""
     parts = list(path.replace("\\", "/").strip("/").split("/"))
     if parts[-1].endswith(".py"):
@@ -91,7 +91,7 @@ class ModuleInfo:
     path: str
     tree: ast.Module
     #: local alias -> dotted target ("np" -> "numpy",
-    #: "attach_view" -> "repro.core.shm.attach_view")
+    #: "write_array" -> "repro.core.iofilter.write_array")
     imports: dict[str, str] = field(default_factory=dict)
 
 

@@ -6,8 +6,8 @@ all three deep rules share:
 * a small **alias lattice** over dotted roots (``b = a[1:]`` makes ``b``
   derive from ``a``; ``v = ticket.data`` makes ``v`` derive from
   ``ticket.data``), with *sealed sources* — expressions that produce
-  read-only zero-copy views (``np.frombuffer``, ``attach_view`` without
-  ``writable=True``, tickets granted by ``request_read``);
+  read-only zero-copy views (``np.frombuffer``, tickets granted by
+  ``request_read``);
 * every **mutation sink** (subscript store, augmented assign, in-place
   ndarray method, ``np.copyto``-style destination write, a
   ``writeable``/``setflags(write=True)`` flip) with the dotted root it
@@ -88,7 +88,7 @@ _LOCKISH_FRAGMENTS = ("lock", "cond", "mutex", "sem")
 class SealFact:
     """Why a dotted root is sealed, and how the taint got here."""
 
-    origin: str                 # e.g. "np.frombuffer view at core/shm.py:165"
+    origin: str                 # e.g. "np.frombuffer view at core/codecs.py:165"
     path: tuple[str, ...] = ()  # interprocedural hops, oldest first
 
 
@@ -191,37 +191,15 @@ def root_of(node: ast.AST) -> str | None:
     return None
 
 
-#: wrapper functions whose *call site* decides view writability; their
-#: returns must not be blanket-tainted interprocedurally (the keyword is
-#: only visible at the call)
-VIEW_CONSTRUCTOR_NAMES = frozenset({"frombuffer", "attach_view", "ndarray"})
-
-
-def _kw_is_true(call: ast.Call, name: str) -> bool:
-    for kw in call.keywords:
-        if (kw.arg == name and isinstance(kw.value, ast.Constant)
-                and kw.value.value is True):
-            return True
-    return False
+#: wrapper functions whose *call site* creates the sealed view; their
+#: returns are judged there, not blanket-tainted interprocedurally
+VIEW_CONSTRUCTOR_NAMES = frozenset({"frombuffer"})
 
 
 def _sealed_source(call: ast.Call, path: str) -> str | None:
     """Origin string when a call expression creates a sealed view."""
-    name = _call_name(call)
-    if name == "frombuffer":
+    if _call_name(call) == "frombuffer":
         return f"np.frombuffer view at {path}:{call.lineno}"
-    if name == "attach_view":
-        if _kw_is_true(call, "writable"):
-            return None  # an explicit write-grant view
-        return f"attach_view() segment view at {path}:{call.lineno}"
-    if name == "ndarray":
-        # SegmentPool.ndarray(...): writable by default (fill-then-seal),
-        # sealed only when the caller asks for readonly=True.
-        receiver = _receiver(call)
-        tail = receiver.split(".")[-1] if receiver else ""
-        if "pool" in tail.lower() and _kw_is_true(call, "readonly"):
-            return f"segment-pool readonly view at {path}:{call.lineno}"
-        return None
     return None
 
 

@@ -8,9 +8,8 @@ DOOC010   sealed-view mutation escape: an in-place mutation (subscript
           store, augmented assign, ``np.copyto``-style destination write,
           an in-place ndarray method, a ``writeable`` flip) reachable
           through the call graph from a sealed zero-copy source
-          (``np.frombuffer``, ``attach_view`` without ``writable=True``,
-          a ``request_read`` grant).  The static complement of
-          ``WritableReadViewError``.
+          (``np.frombuffer``, a ``request_read`` grant).  The static
+          complement of ``WritableReadViewError``.
 DOOC011   static lock-order cycle: *held → taken* edges collected from
           ``with``-nesting and propagated across calls form a cycle in
           the class-attribute lock graph, reported with a call-path
@@ -65,7 +64,7 @@ def _fmt_path(fact: SealFact) -> str:
     "DOOC010",
     "sealed-view-mutation",
     "in-place mutation reachable from a sealed zero-copy view source "
-    "(frombuffer / attach_view / read grant) through the call graph",
+    "(frombuffer / read grant) through the call graph",
 )
 def check_sealed_view_escape(program: "Program") -> Iterator[Violation]:
     graph = program.graph
@@ -82,10 +81,9 @@ def check_sealed_view_escape(program: "Program") -> Iterator[Violation]:
         for qual, summ in summaries.items():
             closure = sealed_closure(summ, inter.get(qual, {}))
 
-            # does this function return a sealed view?  View-constructor
-            # wrappers (attach_view, SegmentPool.ndarray) are excluded:
-            # their writability is a call-site keyword, which the
-            # call-site source rules in the dataflow pass already judge.
+            # does this function return a sealed view?  View constructors
+            # (a local ``frombuffer``) are excluded: the call-site source
+            # rules in the dataflow pass already judge them.
             if (qual not in returns_sealed
                     and summ.info.name not in VIEW_CONSTRUCTOR_NAMES):
                 fact = summ.returns_sealed_expr

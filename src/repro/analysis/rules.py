@@ -23,12 +23,10 @@ DOOC005   non-atomic durable write: a bare ``open(..., "w"/"wb")``,
           path.  Checkpoint payloads and manifests are recovery inputs —
           a torn write silently poisons restart, so they must go through
           ``repro.util.atomicio.atomic_write`` (temp + fsync + rename).
-DOOC006   raw shared memory: ``SharedMemory(...)`` constructed outside
-          ``repro.core.shm``.  Segments made elsewhere escape the pool's
-          lease refcounts, generation stamps and unlink sweeps — they
-          leak ``/dev/shm`` entries and break the crash-cleanup
-          invariant.  Allocate via ``SegmentPool`` / attach via
-          ``attach_view`` instead.
+DOOC006   raw shared memory: any ``SharedMemory(...)`` construction.
+          Workers are threads sharing one address space, so nothing
+          needs a ``/dev/shm`` segment, and one that a crash leaves
+          behind is never unlinked.  Share plain numpy buffers.
 ========  ==================================================================
 
 The rules are deliberately lexical (single-function, no dataflow): they
@@ -480,25 +478,14 @@ def check_atomic_durable_writes(tree: ast.Module,
 
 # -- DOOC006: raw shared-memory construction ---------------------------------
 
-#: the one module allowed to construct SharedMemory (the pool itself)
-_SHM_HOME = ("repro", "core", "shm.py")
-
-
-def _is_shm_home(path: str) -> bool:
-    parts = path.replace("\\", "/").split("/")
-    return tuple(parts[-3:]) == _SHM_HOME
-
 
 @register(
     "DOOC006",
     "raw-shared-memory",
-    "SharedMemory() constructed outside repro.core.shm; segments must be "
-    "allocated through SegmentPool / mapped through attach_view so leases, "
-    "generations and unlink sweeps stay coherent",
+    "SharedMemory() constructed; the engine's workers share one address "
+    "space, and a segment a crash leaves behind is never unlinked",
 )
 def check_raw_shared_memory(tree: ast.Module, path: str) -> Iterator[Violation]:
-    if _is_shm_home(path):
-        return
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
@@ -506,9 +493,9 @@ def check_raw_shared_memory(tree: ast.Module, path: str) -> Iterator[Violation]:
             continue
         yield Violation(
             "DOOC006", path, node.lineno, node.col_offset,
-            "raw SharedMemory(...) bypasses the segment pool's lease "
-            "refcounts and unlink sweep (a crash leaks /dev/shm); use "
-            "repro.core.shm.SegmentPool.allocate / attach_view",
+            "raw SharedMemory(...) leaks a /dev/shm segment when a crash "
+            "skips its unlink; worker threads share one address space, so "
+            "pass a numpy buffer instead",
         )
 
 

@@ -41,7 +41,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="also export the out-of-core workload's Chrome "
                              "trace to PATH")
     parser.add_argument("--convergence", action="store_true",
-                        help="also run the pinned incremental/async "
+                        help="also run the pinned sync/incremental "
                              "convergence workload into the report")
     parser.add_argument("--convergence-only", action="store_true",
                         help="run only the convergence workload (the CI "
@@ -120,15 +120,12 @@ def main(argv: list[str] | None = None) -> int:
               f"{'bit-identical' if wl['bit_identical'] else 'MISMATCH'}")
     conv = report.get("convergence")
     if conv:
-        sync, inc, asy = conv["sync"], conv["incremental"], conv["async"]
+        sync, inc = conv["sync"], conv["incremental"]
         print(f"  convergence  sync {sync['iterations']} sweeps "
               f"{sync['tasks']} tasks {sync['disk_bytes_read']:,d} B read")
         print(f"               incremental {inc['iterations']} sweeps "
               f"{inc['tasks']} tasks {inc['disk_bytes_read']:,d} B read "
               f"(first freeze sweep {inc['first_freeze_sweep']})")
-        print(f"               async {asy['rounds']} rounds "
-              f"residual {asy['residual_norm']:.3e} "
-              f"bound {asy['bound']:.3e}")
         for name, ok in sorted(conv["verdicts"].items()):
             print(f"               {'ok  ' if ok else 'FAIL'} {name}")
     sweep = report.get("codec_sweep", {}).values()

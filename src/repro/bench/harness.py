@@ -117,7 +117,7 @@ def bit_identical(got: np.ndarray, want: np.ndarray) -> bool:
 
 @dataclass(frozen=True)
 class ConvergenceWorkload:
-    """The pinned incremental/async iteration workload.
+    """The pinned sync/incremental Jacobi workload.
 
     A block-lower-triangular, strongly diagonally dominant system whose
     partitions converge at deliberately staggered rates (``dom[u]`` is
@@ -134,10 +134,6 @@ class ConvergenceWorkload:
     seed: int
     tol: float                   #: sync/incremental residual tolerance
     max_sweeps: int
-    async_tol: float
-    async_staleness: int
-    async_seed: int
-    async_max_rounds: int
 
     def config(self) -> dict:
         return asdict(self)
@@ -148,14 +144,10 @@ def pinned_convergence_workload(*, quick: bool) -> ConvergenceWorkload:
     if quick:
         return ConvergenceWorkload(
             "convergence_quick", n=120, k=3, dom=(1e6, 50.0, 12.0),
-            density=0.05, seed=9, tol=1e-30, max_sweeps=120,
-            async_tol=1e-8, async_staleness=2, async_seed=1,
-            async_max_rounds=150)
+            density=0.05, seed=9, tol=1e-30, max_sweeps=120)
     return ConvergenceWorkload(
         "convergence_full", n=240, k=4, dom=(1e6, 2e3, 50.0, 12.0),
-        density=0.05, seed=9, tol=1e-30, max_sweeps=200,
-        async_tol=1e-8, async_staleness=2, async_seed=1,
-        async_max_rounds=250)
+        density=0.05, seed=9, tol=1e-30, max_sweeps=200)
 
 
 def _build_convergence_system(cw: ConvergenceWorkload):
@@ -227,14 +219,12 @@ class _InCoreBlockedReference:
 
 
 def run_convergence_suite(*, quick: bool = False) -> dict:
-    """Run the pinned convergence workload in all three modes.
+    """Run the pinned convergence workload in sync and incremental mode.
 
-    Returns the report's ``convergence`` section: sync / incremental /
-    async metrics plus the boolean verdicts
-    :func:`check_convergence_invariants` gates on.  Sync and incremental
-    carry the bit-identity verdict (dropout must not change a single
-    bit); async carries the convergence-bound verdict
-    (``||b - A x|| <= tol * ||b||`` on a *fresh* confirmation sweep).
+    Returns the report's ``convergence`` section: sync and incremental
+    metrics plus the boolean verdicts
+    :func:`check_convergence_invariants` gates on, led by bit-identity
+    (dropout must not change a single bit).
     """
     import tempfile
 
@@ -247,28 +237,22 @@ def run_convergence_suite(*, quick: bool = False) -> dict:
     a, b = _build_convergence_system(cw)
     partition = GridPartition(cw.n, cw.k)
     blocks = partition.split_matrix(CSRBlock.from_scipy(a))
-    b_norm = float(np.linalg.norm(b))
 
     def mkop(scratch):
         return OutOfCoreMatrix(blocks, n_nodes=1, scratch_dir=scratch,
                                policy="simple")
 
-    def drive(mode, **kw):
+    def drive(mode):
         with tempfile.TemporaryDirectory() as scratch:
             op = mkop(scratch)
-            res = jacobi_solve(op, b, tol=cw.tol if mode != "async"
-                               else cw.async_tol,
-                               max_iterations=cw.max_sweeps if mode != "async"
-                               else cw.async_max_rounds,
-                               mode=mode, **kw)
+            res = jacobi_solve(op, b, tol=cw.tol,
+                               max_iterations=cw.max_sweeps, mode=mode)
             log = list(op.sweep_log)
             op.engine.cleanup()
         return res, log
 
     sync_res, sync_log = drive("sync")
     inc_res, inc_log = drive("incremental")
-    async_res, _ = drive("async", staleness=cw.async_staleness,
-                         seed=cw.async_seed)
 
     # In-core reference with the same blocked summation order.
     ref_op = _InCoreBlockedReference(a, partition)
@@ -285,7 +269,6 @@ def run_convergence_suite(*, quick: bool = False) -> dict:
     rep = inc_res.convergence
     matvec_tasks = rep.tasks_per_sweep()
     first_freeze = rep.first_freeze_sweep()
-    async_bound = cw.async_tol * b_norm
 
     verdicts = {
         # sync result == the SciPy-built in-core reference, bit for bit
@@ -306,9 +289,6 @@ def run_convergence_suite(*, quick: bool = False) -> dict:
             first_freeze is not None
             and first_freeze < len(matvec_tasks)
             and matvec_tasks[-1] < matvec_tasks[0]),
-        # async gets the convergence-bound verdict, not bit-identity
-        "async_within_bound": bool(
-            async_res.converged and async_res.residual_norm <= async_bound),
     }
     return {
         "config": cw.config(),
@@ -333,13 +313,6 @@ def run_convergence_suite(*, quick: bool = False) -> dict:
             "matvec_tasks_per_sweep": matvec_tasks,
             "total_tasks_with_aux": rep.total_tasks(),
         },
-        "async": {
-            "rounds": async_res.iterations,
-            "staleness": cw.async_staleness,
-            "residual_norm": async_res.residual_norm,
-            "bound": async_bound,
-            "converged": async_res.converged,
-        },
         "verdicts": verdicts,
     }
 
@@ -350,8 +323,7 @@ def check_convergence_invariants(current: dict) -> list[str]:
     Every verdict computed by :func:`run_convergence_suite` must hold:
     dropout must be free (bit-identity, same sweep count), must pay
     (strictly fewer tasks and disk bytes than bulk-synchronous), must be
-    monotone once blocks freeze, and async-Jacobi must land inside its
-    documented residual bound.  Reports without the section pass.
+    monotone once blocks freeze.  Reports without the section pass.
     """
     conv = current.get("convergence")
     if not conv:
@@ -496,7 +468,7 @@ def run_suite(*, quick: bool = False, tag: str = "dev",
     """Run the whole pinned matrix; returns the report dict.
 
     ``trace_path`` exports the out-of-core workload's Chrome trace.
-    ``convergence`` additionally runs the pinned incremental/async
+    ``convergence`` additionally runs the pinned sync/incremental
     workload (:func:`run_convergence_suite`) into the report's
     ``convergence`` section; ``convergence_only`` skips the perf matrix
     and produces just that section (the CI convergence-gate leg).

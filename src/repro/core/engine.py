@@ -65,7 +65,7 @@ from repro.core.opcache import (
     DecodedOperandCache,
     OperandContext,
 )
-from repro.core.storage import Effect, LocalStore, StoreStats, Ticket
+from repro.core.storage import Effect, LocalStore, Ticket
 from repro.core.task import TaskSpec
 from repro.datacutter.buffers import END_OF_STREAM, DataBuffer
 from repro.datacutter.errors import FilterError, StreamClosedError
@@ -1699,26 +1699,37 @@ class RunReport:
 
     wall_seconds: float
     assignment: dict[str, int]
-    store_stats: dict[int, StoreStats]
     stream_stats: dict[str, tuple[int, int]] = field(default_factory=dict)
-    #: per-node metrics registry snapshots (supersede ``store_stats``)
+    #: per-node metrics registry snapshots (``MetricsRegistry.as_dict``;
+    #: engine-level recovery counters under node ``-1``)
     metrics: dict[int, dict] = field(default_factory=dict)
     #: structured runtime events (empty unless tracing was enabled)
     trace_events: list[TraceEvent] = field(default_factory=list)
     #: last watchdog diagnosis, when a mid-run stall was observed
     diagnosis: Diagnosis | None = None
 
+    def _total(self, name: str) -> int:
+        return sum(per.get(name, 0) for per in self.metrics.values())
+
     @property
     def total_loads(self) -> int:
-        return sum(s.loads for s in self.store_stats.values())
+        return self._total("loads")
 
     @property
     def total_spills(self) -> int:
-        return sum(s.spills for s in self.store_stats.values())
+        return self._total("spills")
 
     @property
     def total_remote_fetches(self) -> int:
-        return sum(s.remote_fetches for s in self.store_stats.values())
+        return self._total("remote_fetches")
+
+    def loads_by_array(self) -> dict[str, int]:
+        """Block loads per array name, summed over nodes."""
+        out: dict[str, int] = {}
+        for per in self.metrics.values():
+            for name, n in per.get("loads_by_label", {}).items():
+                out[name] = out.get(name, 0) + n
+        return out
 
     # -- trace persistence ---------------------------------------------------
 
@@ -2070,7 +2081,6 @@ class DOoCEngine:
         return RunReport(
             wall_seconds=wall,
             assignment=assignment,
-            store_stats={n: s.stats for n, s in self.stores.items()},
             stream_stats=runtime.stream_stats(),
             metrics=metrics,
             trace_events=self.tracer.drain(),

@@ -174,12 +174,6 @@ def unpack_chunk_into(blob: bytes, out: memoryview, itemsize: int,
     get_codec(codec_name).decode_into(payload, out, itemsize)
 
 
-def unpack_chunk(blob: bytes, itemsize: int, what: str) -> bytes:
-    """Verify and decode a chunk container; size comes from its header."""
-    codec_name, raw_nbytes, payload = _parse_chunk(blob, what)
-    return get_codec(codec_name).decode(payload, raw_nbytes, itemsize)
-
-
 def write_block(scratch: Path, desc: ArrayDesc, block: int, data: np.ndarray,
                 *, metrics: MetricsRegistry | None = None) -> None:
     """Persist one block (creating/growing the backing as needed).

@@ -88,12 +88,8 @@ def run(*, iterations: int = 3, seed: int = 3,
         report = eng.run(result.program, timeout=300)
         got = result.fetch_final(eng)
     want = iterated_spmv_reference(global_m, x0, iterations)
-    matrix_loads = sum(
-        count
-        for stats in report.store_stats.values()
-        for array, count in stats.loads_by_array.items()
-        if array.startswith("A_")
-    )
+    matrix_loads = sum(count for array, count in report.loads_by_array().items()
+                       if array.startswith("A_"))
     return Fig5Result(
         iterations=iterations,
         k=k,

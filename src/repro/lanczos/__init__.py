@@ -7,17 +7,19 @@ vectors" (Section II).
 
 * :mod:`repro.lanczos.lanczos` — in-core Lanczos with full
   reorthogonalization and Ritz-value extraction;
-* :mod:`repro.lanczos.ooc` — out-of-core Lanczos: each iteration's SpMV
-  runs as a DOoC program over blocked matrix files, with the (small)
-  tridiagonal bookkeeping in core — the paper's envisioned MFDn-on-DOoC
-  structure ("our out-of-core code does not implement the full Lanczos
-  algorithm required for MFDn ... but SpMV computations account for the
-  major part").
+* :mod:`repro.lanczos.basis` — in-memory and on-disk Krylov bases.
+
+Out-of-core Lanczos passes an
+:class:`~repro.spmv.ooc_operator.OutOfCoreMatrix`'s ``matvec`` to
+:func:`lanczos`, so each iteration's SpMV runs as a DOoC program over
+blocked matrix files while the (small) tridiagonal bookkeeping stays in
+core — the paper's envisioned MFDn-on-DOoC structure ("our out-of-core
+code does not implement the full Lanczos algorithm required for MFDn ...
+but SpMV computations account for the major part").  A
+:class:`DiskBasis` keeps the Krylov vectors out of core too.
 """
 
 from repro.lanczos.basis import DiskBasis, InMemoryBasis
 from repro.lanczos.lanczos import LanczosResult, lanczos
-from repro.lanczos.ooc import OutOfCoreLanczos
 
-__all__ = ["lanczos", "LanczosResult", "OutOfCoreLanczos",
-           "InMemoryBasis", "DiskBasis"]
+__all__ = ["lanczos", "LanczosResult", "InMemoryBasis", "DiskBasis"]

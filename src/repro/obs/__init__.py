@@ -7,8 +7,7 @@ first-class artefact of every run:
 * :class:`Tracer` / :class:`TraceEvent` — low-overhead structured events
   in per-node ring buffers (same schema for the threaded engine and the
   DES testbed);
-* :class:`MetricsRegistry` — named counters superseding the ad-hoc
-  ``StoreStats`` fields (which remain as a compatibility view);
+* :class:`MetricsRegistry` — named per-node counters and gauges;
 * :mod:`repro.obs.chrome` — ``chrome://tracing`` export, JSONL
   persistence, validation (``python -m repro trace <run>``);
 * :class:`StallWatchdog` / :class:`Diagnosis` — turns a silent mid-run

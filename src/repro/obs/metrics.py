@@ -1,11 +1,9 @@
 """Per-node metrics registry.
 
-Supersedes the ad-hoc counter fields that used to live directly on
-``StoreStats``: every runtime component increments named (optionally
-labelled) counters on a :class:`MetricsRegistry`, and ``StoreStats``
-remains as a *compatibility view* materialized from the registry (see
-:mod:`repro.core.storage`).  Counters are monotonic; ``observe_max``
-records high-watermark gauges (e.g. peak allocation-queue depth).
+Every runtime component increments named (optionally labelled) counters
+on a :class:`MetricsRegistry`; ``RunReport.metrics`` carries one
+snapshot per node.  Counters are monotonic; ``observe_max`` records
+high-watermark gauges (e.g. peak allocation-queue depth).
 """
 
 from __future__ import annotations

@@ -85,8 +85,6 @@ EVENTS: dict[str, tuple[str, str, str]] = {
                                        "frontier"),
     "fixpoint": ("converge", "i", "every partition stationary; iteration "
                                   "terminated early"),
-    "async_round": ("converge", "i", "async-Jacobi round relaxed partitions "
-                                     "against bounded-stale views"),
     # -- run-level ----------------------------------------------------------
     "phase": ("run", "i", "run-level milestone (start/end, sim phases)"),
     "run_cancel": ("run", "i", "cancel token seen; drain broadcast to nodes"),

@@ -17,15 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Callable
 from pathlib import Path
-from typing import Protocol
 
 import numpy as np
 
-
-class _Operator(Protocol):  # pragma: no cover - typing aid
-    n: int
-
-    def matvec(self, x: np.ndarray) -> np.ndarray: ...
+from repro.solvers.operator import Operator
 
 
 @dataclass
@@ -38,7 +33,7 @@ class CGResult:
 
 
 def conjugate_gradient_solve(
-    operator: _Operator,
+    operator: Operator,
     b: np.ndarray,
     *,
     x0: np.ndarray | None = None,

@@ -4,7 +4,7 @@ Converges for strictly diagonally dominant (or otherwise contractive)
 systems; each sweep costs one out-of-core SpMV plus in-core vector
 updates.
 
-Three execution modes (docs/ITERATION.md):
+Two execution modes (docs/ITERATION.md), one loop:
 
 * ``mode="sync"`` — the classic bulk-synchronous sweep.  Every sweep
   multiplies every sub-matrix; the result is bit-identical to the in-core
@@ -18,23 +18,15 @@ Three execution modes (docs/ITERATION.md):
   bit-identical to ``"sync"`` while tasks and disk bytes fall.
   Requires a workset-capable operator (:class:`repro.spmv.ooc_operator.
   OutOfCoreMatrix`).
-* ``mode="async"`` — chaotic relaxation (Chazan-Miranker): the global
-  barrier is relaxed and each block multiply may read a *stale* iterate
-  version, at most ``staleness`` rounds old, drawn from a seeded
-  generator.  Still converges for diagonally dominant systems under
-  bounded staleness; before declaring convergence the driver runs one
-  fresh confirmation sweep, so the reported residual is a true residual
-  and the documented bound ``||b - A x|| <= tol * ||b||`` holds.
-  ``staleness=0`` degenerates to the synchronous iterate sequence.
 
-Every mode terminates early when the iterate reaches an exact (bitwise)
+Both modes terminate early when the iterate reaches an exact (bitwise)
 fixpoint: a deterministic sweep that reproduced ``x`` exactly can never
-produce anything else, so further sweeps are pure waste.  Sync and
-incremental sweeps additionally detect exact *period-2 limit cycles*
-(``x(t) == x(t-2)`` bitwise) — near convergence the update often
-oscillates in the last ulp forever rather than landing on a period-1
-fixpoint — and exit then too, with ``fixpoint=True``; both modes use the
-identical check, so their iterate sequences never diverge.
+produce anything else, so further sweeps are pure waste.  They also
+detect exact *period-2 limit cycles* (``x(t) == x(t-2)`` bitwise) — near
+convergence the update often oscillates in the last ulp forever rather
+than landing on a period-1 fixpoint — and exit then too, with
+``fixpoint=True``; both modes use the identical check, so their iterate
+sequences never diverge.
 
 Pass ``checkpoint_dir`` to persist the iterate at iteration boundaries
 (every ``checkpoint_every`` sweeps, via :mod:`repro.recovery.checkpoint`);
@@ -42,31 +34,21 @@ Pass ``checkpoint_dir`` to persist the iterate at iteration boundaries
 incremental resumes reproduce the remaining iterates bit-identically —
 the solver state is exactly ``(x, history)`` and both round-trip as raw
 float64 payloads (an incremental resume re-discovers its frozen columns
-after one warm-up sweep).  An async resume restarts the staleness history
-and the stale-choice stream from the checkpointed iterate; it keeps the
-convergence bound, not any particular iterate sequence.
+after one warm-up sweep).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Callable
 from pathlib import Path
-from typing import Protocol
 
 import numpy as np
 
-from repro.core.convergence import (ConvergenceReport, ConvergenceTracker,
-                                    _stagnant)
+from repro.core.convergence import ConvergenceReport, _stagnant
+from repro.solvers.operator import Operator
 
-MODES = ("sync", "incremental", "async")
-
-
-class _Operator(Protocol):  # pragma: no cover - typing aid
-    n: int
-
-    def matvec(self, x: np.ndarray) -> np.ndarray: ...
-    def diagonal(self) -> np.ndarray: ...
+MODES = ("sync", "incremental")
 
 
 @dataclass
@@ -79,17 +61,16 @@ class JacobiResult:
     mode: str = "sync"
     #: the iterate went bitwise stationary and the drive exited early
     fixpoint: bool = False
-    #: per-sweep workset history (incremental and async modes)
+    #: per-sweep workset history (incremental mode)
     convergence: ConvergenceReport | None = None
 
 
 @dataclass
 class _Checkpointing:
-    """Shared checkpoint plumbing for all three modes."""
+    """Checkpoint plumbing: open (and resume from) a directory, save."""
 
     mgr: object | None = None
     every: int = 10
-    history: list[float] = field(default_factory=list)
 
     @classmethod
     def open(cls, checkpoint_dir, every, resume):
@@ -113,7 +94,7 @@ class _Checkpointing:
 
 
 def jacobi_solve(
-    operator: _Operator,
+    operator: Operator,
     b: np.ndarray,
     *,
     x0: np.ndarray | None = None,
@@ -124,9 +105,6 @@ def jacobi_solve(
     checkpoint_every: int = 10,
     resume: bool = False,
     mode: str = "sync",
-    staleness: int = 2,
-    seed: int = 0,
-    fixpoint_exit: bool = True,
 ) -> JacobiResult:
     """Solve A x = b by Jacobi sweeps with out-of-core SpMVs."""
     if mode not in MODES:
@@ -139,8 +117,6 @@ def jacobi_solve(
         raise ValueError("max_iterations must be >= 1")
     if checkpoint_every < 1:
         raise ValueError("checkpoint_every must be >= 1")
-    if staleness < 0:
-        raise ValueError("staleness must be >= 0")
     diag = operator.diagonal()
     if np.any(diag == 0):
         raise ValueError("Jacobi needs a zero-free diagonal")
@@ -154,10 +130,6 @@ def jacobi_solve(
     start = ck_start or 0
     if ck_x is not None:
         x = ck_x
-    if mode == "async":
-        return _solve_async(operator, b, x, diag, b_norm, tol,
-                            max_iterations, callback, ckpt, history, start,
-                            staleness, seed, fixpoint_exit)
     # Sync and incremental sweeps are one loop: the incremental drive
     # passes a workset, which drops frozen columns from each matvec and
     # keeps the iterate sequence bitwise equal to sync's.
@@ -165,7 +137,12 @@ def jacobi_solve(
     if mode == "incremental":
         from repro.spmv.ooc_operator import SweepWorkset
 
-        _require_workset_operator(operator, mode)
+        if (getattr(operator, "partition", None) is None
+                or not hasattr(operator, "column_products")):
+            raise ValueError(
+                "mode='incremental' needs a workset-capable operator "
+                "(repro.spmv.ooc_operator.OutOfCoreMatrix); got "
+                f"{type(operator).__name__}")
         workset = SweepWorkset(operator)
     res_norm = history[-1] if history else np.inf
     it = start
@@ -192,7 +169,7 @@ def jacobi_solve(
         x_new = x + residual / diag
         if workset is not None:
             workset.observe(x, x_new)
-        if fixpoint_exit and _stagnant(x_new, x, x_two_ago):
+        if _stagnant(x_new, x, x_two_ago):
             # A deterministic sweep that reproduced x (or entered an exact
             # 2-cycle) will repeat forever: the residual cannot improve.
             return result(converged=False, fixpoint=True)
@@ -203,64 +180,3 @@ def jacobi_solve(
         ckpt.save(it, x, history)
     return result(converged=False)
 
-
-def _require_workset_operator(operator, mode: str):
-    partition = getattr(operator, "partition", None)
-    if partition is None or not hasattr(operator, "column_products"):
-        raise ValueError(
-            f"mode={mode!r} needs a workset-capable operator "
-            "(repro.spmv.ooc_operator.OutOfCoreMatrix); got "
-            f"{type(operator).__name__}")
-    return partition
-
-
-def _solve_async(operator, b, x, diag, b_norm, tol, max_iterations,
-                 callback, ckpt, history, start, staleness, seed,
-                 fixpoint_exit):
-    """Bounded-staleness chaotic relaxation with a confirmation sweep."""
-    partition = _require_workset_operator(operator, "async")
-    tracer = getattr(getattr(operator, "engine", None), "tracer", None)
-    k = partition.k
-    tracker = ConvergenceTracker(k, tol=0.0, tracer=tracer)
-    rng = np.random.default_rng(seed)
-    coords = [(u, v) for u in range(k) for v in range(k)]
-    #: iterate versions, newest first; versions[age] is ``age`` rounds old
-    versions = [partition.split_vector(x)]
-    res_norm = history[-1] if history else np.inf
-    it = start
-
-    def result(converged, fixpoint=False):
-        return JacobiResult(x=x, iterations=it, residual_norm=res_norm,
-                            converged=converged, residual_history=history,
-                            mode="async", fixpoint=fixpoint,
-                            convergence=tracker.report)
-
-    for it in range(start + 1, max_iterations + 1):
-        max_age = min(staleness, len(versions) - 1)
-        choice = {uv: int(rng.integers(0, max_age + 1)) for uv in coords}
-        y_parts = operator.stale_sweep(versions, choice)
-        sweep_tasks = operator.last_sweep["tasks"]
-        residual = b - partition.join_vector(y_parts)
-        res_norm = float(np.linalg.norm(residual))
-        history.append(res_norm)
-        if callback is not None:
-            callback(it, res_norm)
-        if res_norm <= tol * b_norm:
-            # The relaxed residual mixed iterate versions; confirm against
-            # a fresh synchronous sweep so the reported residual is a true
-            # residual of the returned x (the documented bound).
-            true_res = float(np.linalg.norm(b - operator.matvec(x)))
-            res_norm = true_res
-            history[-1] = true_res
-            if true_res <= tol * b_norm:
-                return result(converged=True)
-        x_new = x + residual / diag
-        tracker.observe(versions[0], partition.split_vector(x_new),
-                        tasks_scheduled=sweep_tasks)
-        if fixpoint_exit and np.array_equal(x_new, x):
-            return result(converged=res_norm <= tol * b_norm, fixpoint=True)
-        x = x_new
-        versions.insert(0, partition.split_vector(x))
-        del versions[staleness + 1:]
-        ckpt.save(it, x, history)
-    return result(converged=False)

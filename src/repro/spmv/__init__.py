@@ -18,7 +18,6 @@
 """
 
 from repro.spmv.csr import CSRBlock
-from repro.spmv.csrfile import read_csr_file, write_csr_file
 from repro.spmv.generator import gap_uniform_csr, choose_gap_parameter, symmetric_test_matrix
 from repro.spmv.partition import GridPartition
 from repro.spmv.program import build_iterated_spmv, IteratedSpMVResult
@@ -27,8 +26,6 @@ from repro.spmv.ooc_operator import OutOfCoreMatrix
 __all__ = [
     "OutOfCoreMatrix",
     "CSRBlock",
-    "read_csr_file",
-    "write_csr_file",
     "gap_uniform_csr",
     "choose_gap_parameter",
     "symmetric_test_matrix",

@@ -3,8 +3,8 @@
 ``OutOfCoreMatrix`` owns a DOoC engine whose scratch directories hold the
 K x K binary-CSR sub-matrix files (seeded once); every ``matvec`` builds
 and runs a DOoC program (multiplies + policy-dependent reductions).  The
-Lanczos, Jacobi, and conjugate-gradient solvers all drive their heavy
-SpMVs through this one operator — "developing more linear algebra kernels
+Jacobi and conjugate-gradient solvers and Lanczos (``lanczos(op.matvec,
+op.n)``) all drive their heavy SpMVs through this one operator — "developing more linear algebra kernels
 [to] lower the bar for the application scientists" (Section VII).
 """
 
@@ -64,7 +64,7 @@ class OutOfCoreMatrix:
         self._nnz: dict[tuple[int, int], int] = {}
         self.matvec_count = 0
         #: one summary dict per engine program run through this operator
-        #: (matvecs, frozen-column product programs, async rounds):
+        #: (matvecs and frozen-column product programs):
         #: ``{"sweep", "mode", "active", "tasks", "disk_bytes_read",
         #: "wall_seconds"}`` — the accounting the convergence bench and
         #: the workset-dropout invariant read.
@@ -225,45 +225,6 @@ class OutOfCoreMatrix:
         return dict(enumerate(self._execute(
             t, sweep, "colprod", (v,),
             [sweep.name("y", u, v) for u in range(self.k)])))
-
-    def stale_sweep(self, versions: list[dict[int, np.ndarray]],
-                    choice: dict[tuple[int, int], int]) -> dict[int, np.ndarray]:
-        """One chaotic-relaxation round: ``y_u = sum_v A_{u,v} @ x_v^(-age)``.
-
-        ``versions[age]`` holds the iterate's parts ``age`` rounds ago
-        (0 = newest); ``choice[(u, v)]`` is the age each multiply reads —
-        the async-Jacobi driver draws it from a seeded generator, bounded
-        by the staleness knob, so a run models uncoordinated progress yet
-        stays deterministic and replayable.  Returns the output parts.
-        """
-        if not versions:
-            raise ValueError("need at least one iterate version")
-        k = self.k
-        for (u, v), age in choice.items():
-            if not (0 <= age < len(versions)):
-                raise ValueError(f"choice[{(u, v)}] = {age} out of range")
-        t, sweep = self._sweep("async")
-        for u, v in self._a_raw_len:
-            self._matrix(sweep.prog, u, v)
-        used = sorted({(v, choice.get((u, v), 0))
-                       for u in range(k) for v in range(k)})
-        for v, age in used:
-            sweep.seed(sweep.name("x", v, f"s{age}"),
-                       np.asarray(versions[age][v], dtype=np.float64),
-                       self.owner(0, v))
-        for u in range(k):
-            for v in range(k):
-                age = choice.get((u, v), 0)
-                sweep.multiply(u, v, sweep.name("x", v, f"s{age}"),
-                               staleness=age)
-            sweep.reduce(u, range(k), sweep.name("out", u))
-        out = dict(enumerate(self._execute(
-            t, sweep, "async", tuple(range(k)),
-            [sweep.name("out", u) for u in range(k)])))
-        max_age = max(choice.values()) if choice else 0
-        self.engine.tracer.instant(-1, "driver", "converge", "async_round",
-                                   sweep=t, max_age=max_age)
-        return out
 
     def _cleanup(self, t: int) -> None:
         """Unlink this matvec's per-iteration scratch files (the seeded x

@@ -143,48 +143,6 @@ def test_dooc010_write_grant_is_clean():
     assert analyze_sources({"src/m.py": src}) == []
 
 
-def test_dooc010_writable_attach_view_is_clean():
-    # the procplane scatter idiom: the callee asked for a writable map
-    src = (
-        "from repro.core.shm import attach_view\n"
-        "def scatter(handle, payload):\n"
-        "    view = attach_view(handle, writable=True)\n"
-        "    view[:] = payload\n"
-    )
-    assert analyze_sources({"src/m.py": src}) == []
-
-
-def test_dooc010_readonly_attach_view_flags():
-    src = (
-        "from repro.core.shm import attach_view\n"
-        "def corrupt(handle, payload):\n"
-        "    view = attach_view(handle)\n"
-        "    view[:] = payload\n"
-    )
-    assert [(v.code, v.line) for v in analyze_sources({"src/m.py": src})] == [
-        ("DOOC010", 4)]
-
-
-def test_dooc010_pool_fill_then_seal_is_clean():
-    # SegmentPool.ndarray is writable by default (fill-then-seal)
-    src = (
-        "def install(pool, spec, payload):\n"
-        "    arr = pool.ndarray(spec)\n"
-        "    arr[:] = payload\n"
-    )
-    assert analyze_sources({"src/m.py": src}) == []
-
-
-def test_dooc010_readonly_pool_view_flags():
-    src = (
-        "def corrupt(pool, spec):\n"
-        "    arr = pool.ndarray(spec, readonly=True)\n"
-        "    arr[:] = 0\n"
-    )
-    assert [(v.code, v.line) for v in analyze_sources({"src/m.py": src})] == [
-        ("DOOC010", 3)]
-
-
 def test_dooc010_copy_before_mutate_is_clean():
     src = (
         "import numpy as np\n"

@@ -306,21 +306,10 @@ def test_dooc006_bare_name_call_flags():
     assert codes(lint_source(src)) == [("DOOC006", 2, 6)]
 
 
-def test_dooc006_pool_module_is_exempt():
+def test_dooc006_flags_in_every_module():
     src = "shm = shared_memory.SharedMemory(name='x', create=True, size=8)\n"
-    assert lint_source(src, path="src/repro/core/shm.py") == []
-    assert codes(lint_source(src, path="src/repro/core/engine.py")) == [
-        ("DOOC006", 1, 6)]
-
-
-def test_dooc006_segment_pool_usage_is_clean():
-    src = (
-        "from repro.core.shm import SegmentPool, attach_view\n"
-        "def ok(pool, handle):\n"
-        "    name = pool.allocate(4096)\n"
-        "    return name, attach_view(handle)\n"
-    )
-    assert lint_source(src) == []
+    for path in ("src/repro/core/shm.py", "src/repro/core/engine.py"):
+        assert codes(lint_source(src, path=path)) == [("DOOC006", 1, 6)]
 
 
 def test_violation_render_and_json_roundtrip():

@@ -1,6 +1,7 @@
 """The bench harness: report schema, regression gate, operand cache."""
 
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -69,6 +70,24 @@ class TestRunWorkload:
         # Pinned = calling twice yields identical configs.
         assert ([w.config() for w in pinned_workloads(quick=True)]
                 == [w.config() for w in pinned_workloads(quick=True)])
+
+
+def test_committed_baseline_totals_sum_its_workloads():
+    """``totals`` are derived from ``workloads``, as ``run_suite``
+    writes them; a workload dropped from the file must leave them too."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "BENCH_baseline.json"
+    base = load_report(path)
+    workloads = base["workloads"].values()
+    wall = round(sum(w["wall_seconds"] for w in workloads), 6)
+    tasks = sum(w["tasks"] for w in workloads)
+    assert sorted(base["workloads"]) == sorted(
+        w.name for w in pinned_workloads(quick=True))
+    assert base["totals"] == {
+        "wall_seconds": wall,
+        "tasks": tasks,
+        "tasks_per_second": round(tasks / wall, 3),
+        "bytes_copied": sum(w["bytes_copied"] for w in workloads),
+    }
 
 
 def report_with(name="out_of_core", wall=1.0, copied=0, bit_identical=True,

@@ -1,9 +1,9 @@
-"""Incremental & asynchronous iteration: tracker, dropout, frontiers.
+"""Incremental iteration: tracker, dropout, frontiers.
 
 Covers the per-block :class:`ConvergenceTracker` (freeze / thaw /
 period-2 limit cycles), the incremental Jacobi drive (bit-identical to
-sync while strictly reducing tasks and disk reads), bounded-staleness
-async Jacobi, sparse-frontier SpMV, the incremental
+sync while strictly reducing tasks and disk reads), mode validation,
+sparse-frontier SpMV, the incremental
 ``run_iterated_spmv`` early exit, the DES testbed's ``WorksetModel``
 mirror (including dropout-aware node-kill recovery), and the bench
 harness's baseline-free convergence gate.
@@ -22,6 +22,7 @@ from repro.bench import (
     check_convergence_invariants,
     check_regression,
     pinned_convergence_workload,
+    run_convergence_suite,
 )
 from repro.core.convergence import ConvergenceTracker
 from repro.faults import FaultPlan
@@ -29,7 +30,7 @@ from repro.models.testbed import WorksetModel
 from repro.obs.metrics import MetricsRegistry
 from repro.solvers import jacobi_solve
 from repro.spmv.csr import CSRBlock
-from repro.spmv.ooc_operator import OutOfCoreMatrix
+from repro.spmv.ooc_operator import OutOfCoreMatrix, SweepWorkset
 from repro.spmv.partition import GridPartition
 from repro.spmv.program import run_iterated_spmv
 from repro.testbed import run_testbed_spmv
@@ -273,33 +274,16 @@ class TestIncrementalJacobi:
 
 
 class TestAsyncJacobi:
-    def test_lands_inside_documented_bound(self, staggered, tmp_path):
-        a, b = staggered
-        tol = 1e-10
-        op = make_operator(a, 3, tmp_path)
-        res = jacobi_solve(op, b, tol=tol, max_iterations=100, mode="async",
-                           staleness=2, seed=1)
-        assert res.converged
-        assert res.residual_norm <= tol * np.linalg.norm(b)
-
-    def test_staleness_zero_degenerates_to_sync_bitwise(self, staggered,
-                                                        tmp_path):
-        a, b = staggered
-        op_s = make_operator(a, 3, tmp_path / "s")
-        sync = jacobi_solve(op_s, b, tol=1e-10, max_iterations=100)
-        op_a = make_operator(a, 3, tmp_path / "a")
-        asy = jacobi_solve(op_a, b, tol=1e-10, max_iterations=100,
-                           mode="async", staleness=0, seed=7)
-        assert np.array_equal(sync.x, asy.x)
-        assert sync.iterations == asy.iterations
-
     def test_parameter_validation(self, staggered, tmp_path):
+        """Sync and incremental are the only modes; anything else,
+        async included, is refused before any sweep runs."""
         a, b = staggered
         op = make_operator(a, 3, tmp_path)
-        with pytest.raises(ValueError):
-            jacobi_solve(op, b, mode="async", staleness=-1)
-        with pytest.raises(ValueError):
-            jacobi_solve(op, b, mode="chaotic")
+        for mode in ("async", "chaotic"):
+            with pytest.raises(ValueError,
+                               match=r"\('sync', 'incremental'\)"):
+                jacobi_solve(op, b, mode=mode)
+        assert op.matvec_count == 0
 
 
 # -- sparse frontiers --------------------------------------------------------
@@ -530,7 +514,6 @@ def conv_report(verdicts=None, mode="quick"):
         "disk_bytes_strictly_decrease": True,
         "dropout_monotone": True,
         "dropout_after_first_freeze": True,
-        "async_within_bound": True,
     }
     base.update(verdicts or {})
     return {
@@ -544,7 +527,6 @@ def conv_report(verdicts=None, mode="quick"):
             "sync": {"iterations": 10, "tasks": 90, "disk_bytes_read": 900},
             "incremental": {"iterations": 10, "tasks": 60,
                             "disk_bytes_read": 600, "first_freeze_sweep": 4},
-            "async": {"rounds": 12, "residual_norm": 1e-9, "bound": 1e-7},
             "verdicts": base,
         },
         "totals": {"wall_seconds": 0.0, "tasks": 0,
@@ -602,6 +584,31 @@ class TestConvergenceGate:
     def test_full_report_still_checks_convergence(self):
         current = workload_baseline()
         current["convergence"] = conv_report(
-            {"async_within_bound": False})["convergence"]
+            {"dropout_monotone": False})["convergence"]
         failures = check_regression(current, workload_baseline())
-        assert any("async_within_bound" in f for f in failures)
+        assert any("dropout_monotone" in f for f in failures)
+
+
+class TestConvergenceVerdictPower:
+    """The bit-identity verdict must be able to fail: one cached product
+    off by one ulp has to surface in the pinned suite's report."""
+
+    def test_one_ulp_product_fails_bit_identity(self, monkeypatch):
+        assert all(run_convergence_suite(quick=True)["verdicts"].values())
+
+        product = SweepWorkset.product
+
+        def off_by_one_ulp(self, u, v):
+            y = product(self, u, v)
+            if (u, v) != (0, 0):
+                return y
+            y = y.copy()
+            i = int(np.argmax(np.abs(y)))
+            y[i] = np.nextafter(y[i], np.inf)
+            return y
+
+        monkeypatch.setattr(SweepWorkset, "product", off_by_one_ulp)
+        conv = run_convergence_suite(quick=True)
+        assert conv["verdicts"]["incremental_bit_identical"] is False
+        failures = check_convergence_invariants({"convergence": conv})
+        assert any("'incremental_bit_identical'" in f for f in failures)

@@ -86,7 +86,7 @@ class TestSingleNode:
         report = eng.run(prog, timeout=120)
         np.testing.assert_allclose(eng.fetch("a8"), x)
         assert report.total_spills > 0
-        assert report.store_stats[0].loads > 0
+        assert report.metrics[0]["loads"] > 0
 
     def test_fetch_unknown_array_rejected(self, tmp_path):
         prog = Program("p", default_block_elems=64)

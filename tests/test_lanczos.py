@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.lanczos import OutOfCoreLanczos, lanczos
+from repro.lanczos import DiskBasis, lanczos
 from repro.spmv.generator import symmetric_test_matrix
+from repro.spmv.ooc_operator import OutOfCoreMatrix
 from repro.spmv.partition import GridPartition
 
 
@@ -96,42 +97,42 @@ class TestOutOfCore:
 
     def test_matvec_matches_incore(self, problem, tmp_path):
         matrix, blocks, p = problem
-        ooc = OutOfCoreLanczos(blocks, n_nodes=1, scratch_dir=tmp_path)
+        ooc = OutOfCoreMatrix(blocks, n_nodes=1, scratch_dir=tmp_path)
         x = np.random.default_rng(11).standard_normal(p.n)
         np.testing.assert_allclose(ooc.matvec(x), matrix.matvec(x), rtol=1e-10)
         assert ooc.matvec_count == 1
 
     def test_eigenvalues_match_incore_lanczos(self, problem, tmp_path):
         matrix, blocks, p = problem
-        ooc = OutOfCoreLanczos(blocks, n_nodes=1, scratch_dir=tmp_path)
-        result = ooc.solve(k=40, n_eigenvalues=2,
-                           rng=np.random.default_rng(12), tol=1e-8)
+        ooc = OutOfCoreMatrix(blocks, n_nodes=1, scratch_dir=tmp_path)
+        result = lanczos(ooc.matvec, ooc.n, k=40, n_eigenvalues=2,
+                         rng=np.random.default_rng(12), tol=1e-8)
         exact = np.linalg.eigvalsh(matrix.to_dense())
         np.testing.assert_allclose(result.eigenvalues, exact[:2], rtol=1e-6)
 
     def test_multi_node_ooc_lanczos(self, problem, tmp_path):
         matrix, blocks, p = problem
-        ooc = OutOfCoreLanczos(blocks, n_nodes=3, scratch_dir=tmp_path,
-                               policy="interleaved")
+        ooc = OutOfCoreMatrix(blocks, n_nodes=3, scratch_dir=tmp_path,
+                              policy="interleaved")
         x = np.random.default_rng(13).standard_normal(p.n)
         np.testing.assert_allclose(ooc.matvec(x), matrix.matvec(x), rtol=1e-10)
 
     def test_simple_policy_matvec(self, problem, tmp_path):
         matrix, blocks, p = problem
-        ooc = OutOfCoreLanczos(blocks, n_nodes=1, scratch_dir=tmp_path,
-                               policy="simple")
+        ooc = OutOfCoreMatrix(blocks, n_nodes=1, scratch_dir=tmp_path,
+                              policy="simple")
         x = np.ones(p.n)
         np.testing.assert_allclose(ooc.matvec(x), matrix.matvec(x), rtol=1e-10)
 
     def test_validation(self, problem, tmp_path):
         matrix, blocks, p = problem
         with pytest.raises(ValueError, match="policy"):
-            OutOfCoreLanczos(blocks, scratch_dir=tmp_path, policy="bogus")
+            OutOfCoreMatrix(blocks, scratch_dir=tmp_path, policy="bogus")
         bad = dict(blocks)
         del bad[(0, 0)]
         with pytest.raises(ValueError, match="complete"):
-            OutOfCoreLanczos(bad, scratch_dir=tmp_path)
-        ooc = OutOfCoreLanczos(blocks, n_nodes=1, scratch_dir=tmp_path)
+            OutOfCoreMatrix(bad, scratch_dir=tmp_path)
+        ooc = OutOfCoreMatrix(blocks, n_nodes=1, scratch_dir=tmp_path)
         with pytest.raises(ValueError):
             ooc.matvec(np.zeros(7))
 
@@ -219,10 +220,12 @@ class TestBasisStores:
         matrix = symmetric_test_matrix(n, 8.0, np.random.default_rng(17),
                                        diag_shift=30.0)
         blocks = GridPartition(n, k).split_matrix(matrix)
-        solver = OutOfCoreLanczos(blocks, n_nodes=1, scratch_dir=tmp_path)
-        result = solver.solve(k=40, n_eigenvalues=2,
-                              rng=np.random.default_rng(18), tol=1e-8,
-                              basis_on_disk=True)
+        op = OutOfCoreMatrix(blocks, n_nodes=1, scratch_dir=tmp_path)
+        basis = DiskBasis(op.n,
+                          scratch_dir=op.engine.scratch_root / "lanczos-basis")
+        result = lanczos(op.matvec, op.n, k=40, n_eigenvalues=2,
+                         rng=np.random.default_rng(18), tol=1e-8,
+                         basis=basis)
         exact = np.linalg.eigvalsh(matrix.to_dense())
         np.testing.assert_allclose(result.eigenvalues, exact[:2], rtol=1e-6)
         basis_files = list((tmp_path / "lanczos-basis").glob("*.arr"))

@@ -39,10 +39,8 @@ class TestCoreFifoMode:
 
 
 def matrix_loads(report):
-    return sum(
-        c for s in report.store_stats.values()
-        for a, c in s.loads_by_array.items() if a.startswith("A_")
-    )
+    return sum(c for a, c in report.loads_by_array().items()
+               if a.startswith("A_"))
 
 
 class TestEngineAblation:

@@ -7,14 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.spmv.csr import CSRBlock, CSRError
-from repro.spmv.csrfile import (
-    csr_nbytes,
-    deserialize_csr,
-    peek_csr_header,
-    read_csr_file,
-    serialize_csr,
-    write_csr_file,
-)
+from repro.core.array import ArrayDesc
+from repro.core.iofilter import read_array, write_array
+from repro.spmv.csrfile import csr_nbytes, deserialize_csr, serialize_csr
 from repro.spmv.generator import (
     choose_gap_parameter,
     expected_nnz,
@@ -105,20 +100,17 @@ class TestCSRFile:
         np.testing.assert_allclose(b2.to_dense(), b.to_dense())
 
     def test_file_round_trip(self, tmp_path):
+        """A sub-matrix file is its serialized bytes as one uint8 array,
+        seeded the way ``OutOfCoreMatrix`` seeds it (raw or chunked)."""
         rng = np.random.default_rng(6)
         b = random_csr(rng)
-        path = tmp_path / "A_0_0.bin"
-        nbytes = write_csr_file(path, b)
-        assert path.stat().st_size == nbytes
-        b2 = read_csr_file(path)
-        np.testing.assert_allclose(b2.to_dense(), b.to_dense())
-
-    def test_peek_header(self, tmp_path):
-        rng = np.random.default_rng(7)
-        b = random_csr(rng)
-        path = tmp_path / "A.bin"
-        write_csr_file(path, b)
-        assert peek_csr_header(path) == (b.nrows, b.ncols, b.nnz)
+        raw = np.frombuffer(serialize_csr(b), dtype=np.uint8)
+        for codec in (None, "zlib"):
+            desc = ArrayDesc(f"A_{codec}", length=len(raw), dtype="uint8",
+                             block_elems=len(raw), codec=codec)
+            write_array(tmp_path, desc, raw)
+            b2 = deserialize_csr(read_array(tmp_path, desc))
+            np.testing.assert_allclose(b2.to_dense(), b.to_dense())
 
     def test_bad_magic_rejected(self):
         with pytest.raises(CSRError, match="magic"):

@@ -102,7 +102,7 @@ class TestFig5LoadCounts:
         # at least one sub-matrix per iteration transition is reused, so
         # total loads stay below the naive plan.
         regular = loads_regular_plan(k_local, iters)
-        assert report.store_stats[0].loads < regular + 1  # sanity ceiling
+        assert report.metrics[0]["loads"] < regular + 1  # sanity ceiling
 
     def test_back_and_forth_emerges_on_three_nodes(self, tmp_path):
         """Fig. 5's exact setting: 3 nodes, each owning one grid column,
@@ -127,12 +127,9 @@ class TestFig5LoadCounts:
         np.testing.assert_allclose(
             result.fetch_final(eng),
             iterated_spmv_reference(global_m, x0, iterations), rtol=1e-9)
-        matrix_loads = sum(
-            count
-            for stats in report.store_stats.values()
-            for array, count in stats.loads_by_array.items()
-            if array.startswith("A_")
-        )
+        matrix_loads = sum(count
+                           for array, count in report.loads_by_array().items()
+                           if array.startswith("A_"))
         naive = 3 * loads_regular_plan(k, iterations)            # 27
         back_and_forth = 3 * loads_back_and_forth_plan(k, iterations)  # 21
         # Scheduling races can cost an occasional extra load, but the

@@ -4,8 +4,8 @@ The engine's plan depends on the names and insertion order of a
 program's arrays and tasks (the scheduler iterates name-keyed sets), so
 a refactor of the program builders must emit byte-identical programs.
 This test rebuilds each program shape -- ``build_iterated_spmv``, the
-``OutOfCoreMatrix`` full / workset / frontier sweeps, ``column_products``
-and ``stale_sweep`` -- and compares it, array by array and task by task,
+``OutOfCoreMatrix`` full / workset / frontier sweeps and
+``column_products`` -- and compares it, array by array and task by task,
 against ``tests/data/spmv_programs.json``.  It also pins the per-sweep
 ``(mode, active, tasks)`` log, a hash of every program and the final
 iterate of the incremental and synchronous Jacobi and iterated-SpMV
@@ -131,8 +131,6 @@ def operator_cases(scratch: pathlib.Path) -> dict:
                 workset.freeze(1, parts[1])
                 op.matvec(x, workset=workset)
                 op.matvec(frontier_x, frontier=True)
-                op.stale_sweep([parts, p.split_vector(2.0 * x)],
-                               {(0, 1): 1, (2, 0): 1, (1, 1): 0})
             op.engine.cleanup()
             cases[f"operator/{n_nodes}n/{policy}"] = programs
     return cases
